@@ -781,6 +781,61 @@ let arm_faults ~flag ~seed_flag =
       Printf.eprintf "error: --faults: %s\n" msg;
       exit 64)
 
+let metrics_port_arg =
+  Arg.(value & opt (some int) None
+       & info [ "metrics-port" ]
+           ~doc:"Serve Prometheus text-format metrics over HTTP on this TCP port \
+                 (GET /metrics; port 0 picks a free one).")
+
+let log_file_arg =
+  Arg.(value & opt (some string) None
+       & info [ "log-file" ] ~doc:"Append JSON log lines to this file instead of stderr.")
+
+(* The daemon lifecycle shared by serve and proxy: open the log, [start]
+   the daemon (a bind failure exits 66), the scrape endpoint and the
+   runtime sampler behind it, [banner] the start-up lines, then wait for
+   SIGINT/SIGTERM to drain the daemon and tear the rest down. *)
+let run_daemon ~name ~address ~log_file ~metrics_port ~registry ~start ~stop ~wait banner =
+  Log.init_from_env ();
+  (match log_file with
+   | None -> ()
+   | Some path -> (
+     try Log.set_file path with
+     | Sys_error msg ->
+       Printf.eprintf "error: cannot open log file: %s\n" msg;
+       exit exit_io_error));
+  let daemon =
+    try start () with
+    | Unix.Unix_error (e, _, arg) ->
+      Printf.eprintf "error: cannot listen on %s: %s%s\n" (Framing.address_to_string address)
+        (Unix.error_message e) (if arg = "" then "" else " (" ^ arg ^ ")");
+      exit exit_io_error
+  in
+  let scrape =
+    match metrics_port with
+    | None -> None
+    | Some p -> (
+      try Some (Metrics_http.start ~port:p registry) with
+      | Unix.Unix_error (e, _, _) ->
+        Printf.eprintf "error: cannot bind metrics port %d: %s\n" p (Unix.error_message e);
+        stop daemon;
+        wait daemon;
+        exit exit_io_error)
+  in
+  (* GC / CPU gauges only matter where a scraper can see them. *)
+  let sampler = Option.map (fun _ -> Spp_obs.Runtime.start registry) scrape in
+  banner ();
+  Option.iter
+    (fun s ->
+      Printf.eprintf "spp %s: metrics on http://127.0.0.1:%d/metrics\n%!" name
+        (Metrics_http.port s))
+    scrape;
+  Signals.on_termination (fun () -> stop daemon);
+  wait daemon;
+  Option.iter Spp_obs.Runtime.stop sampler;
+  Option.iter Metrics_http.stop scrape;
+  Printf.eprintf "spp %s: drained, exiting\n%!" name
+
 let serve_cmd =
   let workers =
     Arg.(value & opt (some int) None
@@ -792,16 +847,6 @@ let serve_cmd =
          & info [ "queue-depth" ]
              ~doc:"Admission queue bound; solve requests beyond it get an immediate \
                    $(i,overloaded) error.")
-  in
-  let metrics_port =
-    Arg.(value & opt (some int) None
-         & info [ "metrics-port" ]
-             ~doc:"Serve Prometheus text-format metrics over HTTP on this TCP port \
-                   (GET /metrics; port 0 picks a free one).")
-  in
-  let log_file =
-    Arg.(value & opt (some string) None
-         & info [ "log-file" ] ~doc:"Append JSON log lines to this file instead of stderr.")
   in
   let slow_ms =
     Arg.(value & opt (some float) None
@@ -884,14 +929,6 @@ let serve_cmd =
       exit 1
     end;
     arm_faults ~flag:faults ~seed_flag:fault_seed;
-    Log.init_from_env ();
-    (match log_file with
-     | None -> ()
-     | Some path -> (
-       try Log.set_file path with
-       | Sys_error msg ->
-         Printf.eprintf "error: cannot open log file: %s\n" msg;
-         exit exit_io_error));
     let available = Spp_util.Parallel.available_workers () in
     let workers = match workers with Some w -> w | None -> max 1 available in
     let engine = make_engine ~cache_dir ~no_cache ~cache_max in
@@ -905,41 +942,12 @@ let serve_cmd =
         read_timeout_ms = (if read_timeout_ms > 0.0 then Some read_timeout_ms else None);
         retry_after_ms; max_worker_restarts; deadline_floor_ms }
     in
-    let srv =
-      try Server.start cfg with
-      | Unix.Unix_error (e, _, arg) ->
-        Printf.eprintf "error: cannot listen on %s: %s%s\n" (Framing.address_to_string address)
-          (Unix.error_message e) (if arg = "" then "" else " (" ^ arg ^ ")");
-        exit exit_io_error
-    in
-    let scrape =
-      match metrics_port with
-      | None -> None
-      | Some p -> (
-        let registry = Telemetry.metrics (Engine.telemetry engine) in
-        try Some (Metrics_http.start ~port:p registry) with
-        | Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "error: cannot bind metrics port %d: %s\n" p (Unix.error_message e);
-          Server.stop srv;
-          Server.wait srv;
-          exit exit_io_error)
-    in
-    (* GC / CPU gauges only matter where a scraper can see them. *)
-    let sampler =
-      Option.map
-        (fun _ -> Spp_obs.Runtime.start (Telemetry.metrics (Engine.telemetry engine)))
-        scrape
-    in
-    Printf.eprintf "spp serve: listening on %s (%d worker%s, queue depth %d)\n%!"
-      (Framing.address_to_string address) workers (if workers = 1 then "" else "s") queue_depth;
-    Option.iter
-      (fun s -> Printf.eprintf "spp serve: metrics on http://127.0.0.1:%d/metrics\n%!" (Metrics_http.port s))
-      scrape;
-    Signals.on_termination (fun () -> Server.stop srv);
-    Server.wait srv;
-    Option.iter Spp_obs.Runtime.stop sampler;
-    Option.iter Metrics_http.stop scrape;
-    Printf.eprintf "spp serve: drained, exiting\n%!";
+    run_daemon ~name:"serve" ~address ~log_file ~metrics_port
+      ~registry:(Telemetry.metrics (Engine.telemetry engine))
+      ~start:(fun () -> Server.start cfg) ~stop:Server.stop ~wait:Server.wait (fun () ->
+        Printf.eprintf "spp serve: listening on %s (%d worker%s, queue depth %d)\n%!"
+          (Framing.address_to_string address) workers (if workers = 1 then "" else "s")
+          queue_depth);
     write_stats engine stats_json
   in
   Cmd.v
@@ -947,8 +955,8 @@ let serve_cmd =
        ~doc:"Run the portfolio engine as a daemon on a Unix or TCP socket (see README.md for \
              the wire protocol)")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ workers $ queue_depth $ budget_arg
-          $ cache_dir_arg $ no_cache_arg $ cache_max_arg $ stats_json_arg $ metrics_port
-          $ log_file $ slow_ms $ idle_timeout_ms $ read_timeout_ms $ retry_after_ms
+          $ cache_dir_arg $ no_cache_arg $ cache_max_arg $ stats_json_arg $ metrics_port_arg
+          $ log_file_arg $ slow_ms $ idle_timeout_ms $ read_timeout_ms $ retry_after_ms
           $ max_worker_restarts $ deadline_floor_ms $ faults $ fault_seed)
 
 let exit_code_of_error = function
@@ -1430,16 +1438,6 @@ let proxy_cmd =
          & info [ "revive-after" ]
              ~doc:"Consecutive probe successes before an evicted backend is readmitted.")
   in
-  let metrics_port =
-    Arg.(value & opt (some int) None
-         & info [ "metrics-port" ]
-             ~doc:"Serve Prometheus text-format metrics over HTTP on this TCP port \
-                   (GET /metrics; port 0 picks a free one).")
-  in
-  let log_file =
-    Arg.(value & opt (some string) None
-         & info [ "log-file" ] ~doc:"Append JSON log lines to this file instead of stderr.")
-  in
   let hedge_ms =
     let parse s =
       match String.lowercase_ascii s with
@@ -1493,14 +1491,6 @@ let proxy_cmd =
       breaker_cooldown_ms metrics_port log_file faults fault_seed =
     let address = resolve_address socket port host in
     arm_faults ~flag:faults ~seed_flag:fault_seed;
-    Log.init_from_env ();
-    (match log_file with
-     | None -> ()
-     | Some path -> (
-       try Log.set_file path with
-       | Sys_error msg ->
-         Printf.eprintf "error: cannot open log file: %s\n" msg;
-         exit exit_io_error));
     let registry = Spp_obs.Metrics.create () in
     let cfg =
       { (Proxy.default_config ~address ~backends ()) with
@@ -1513,45 +1503,20 @@ let proxy_cmd =
            lockstep. *)
         seed = Unix.getpid () lxor int_of_float (Clock.now_ms ()) }
     in
-    let px =
+    let start () =
       try Proxy.start cfg with
       | Invalid_argument msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 64
-      | Unix.Unix_error (e, _, arg) ->
-        Printf.eprintf "error: cannot listen on %s: %s%s\n"
-          (Framing.address_to_string address) (Unix.error_message e)
-          (if arg = "" then "" else " (" ^ arg ^ ")");
-        exit exit_io_error
     in
-    let scrape =
-      match metrics_port with
-      | None -> None
-      | Some p -> (
-        try Some (Metrics_http.start ~port:p registry) with
-        | Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "error: cannot bind metrics port %d: %s\n" p (Unix.error_message e);
-          Proxy.stop px;
-          Proxy.wait px;
-          exit exit_io_error)
-    in
-    let sampler = Option.map (fun _ -> Spp_obs.Runtime.start registry) scrape in
-    Printf.eprintf "spp proxy: listening on %s over %d backend%s\n%!"
-      (Framing.address_to_string address) (List.length backends)
-      (if List.length backends = 1 then "" else "s");
-    List.iter
-      (fun b -> Printf.eprintf "spp proxy:   backend %s\n%!" (Framing.address_to_string b))
-      backends;
-    Option.iter
-      (fun s ->
-        Printf.eprintf "spp proxy: metrics on http://127.0.0.1:%d/metrics\n%!"
-          (Metrics_http.port s))
-      scrape;
-    Signals.on_termination (fun () -> Proxy.stop px);
-    Proxy.wait px;
-    Option.iter Spp_obs.Runtime.stop sampler;
-    Option.iter Metrics_http.stop scrape;
-    Printf.eprintf "spp proxy: drained, exiting\n%!"
+    run_daemon ~name:"proxy" ~address ~log_file ~metrics_port ~registry ~start ~stop:Proxy.stop
+      ~wait:Proxy.wait (fun () ->
+        Printf.eprintf "spp proxy: listening on %s over %d backend%s\n%!"
+          (Framing.address_to_string address) (List.length backends)
+          (if List.length backends = 1 then "" else "s");
+        List.iter
+          (fun b -> Printf.eprintf "spp proxy:   backend %s\n%!" (Framing.address_to_string b))
+          backends)
   in
   Cmd.v
     (Cmd.info "proxy"
@@ -1561,7 +1526,7 @@ let proxy_cmd =
     Term.(const run $ socket_arg $ port_arg $ host_arg $ backends $ replicas $ cache_cap
           $ pool_size $ upstream_timeout_ms $ failover $ probe_ms $ fail_after $ revive_after
           $ hedge_ms $ breaker_window $ breaker_threshold $ breaker_cooldown_ms
-          $ metrics_port $ log_file $ faults $ fault_seed)
+          $ metrics_port_arg $ log_file_arg $ faults $ fault_seed)
 
 (* ------------------------------------------------------------------ *)
 (* trace *)

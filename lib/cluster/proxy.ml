@@ -1,5 +1,6 @@
 module Client = Spp_server.Client
 module Framing = Spp_server.Framing
+module Listener = Spp_server.Listener
 module Json = Spp_server.Json
 module Bqueue = Spp_server.Bqueue
 module Deadline = Spp_util.Deadline
@@ -74,8 +75,6 @@ type instruments = {
   m_deadline_rejects : Metrics.counter;
 }
 
-type conn = { fd : Unix.file_descr }
-
 type t = {
   cfg : config;
   backends : backend array;
@@ -84,16 +83,12 @@ type t = {
   mutable ring : Ring.t;  (* live members only *)
   cache : Protocol.solve_reply Lru.t option;
   coalesce : Protocol.response Coalesce.t;
-  listen_fd : Unix.file_descr;
-  stopping : bool Atomic.t;
-  lock : Mutex.t;  (* guards conns and threads *)
-  mutable conns : conn list;
-  mutable threads : Thread.t list;
-  mutable acceptor : Thread.t option;
-  mutable prober : Thread.t option;
+  listener : Listener.t;
   started_ms : float;
   mx : instruments;
 }
+
+let stopping t = Listener.stopping t.listener
 
 (* ------------------------------------------------------------------ *)
 (* Health and ring membership *)
@@ -187,13 +182,13 @@ let prober_loop t =
   let prev = ref base in
   (* Sleep in short slices so a drain is noticed within ~50 ms. *)
   let rec nap ms =
-    if ms > 0.0 && not (Atomic.get t.stopping) then begin
+    if ms > 0.0 && not (stopping t) then begin
       Unix.sleepf (Float.min 0.05 (ms /. 1000.0));
       nap (ms -. 50.0)
     end
   in
-  while not (Atomic.get t.stopping) do
-    Array.iter (fun b -> if not (Atomic.get t.stopping) then probe_backend t b) t.backends;
+  while not (stopping t) do
+    Array.iter (fun b -> if not (stopping t) then probe_backend t b) t.backends;
     let any_down =
       Mutex.lock t.health_mu;
       let d = Array.exists (fun b -> not b.alive) t.backends in
@@ -506,7 +501,7 @@ let handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
      it, and each upstream launch forwards only what then remains. *)
   let deadline = Deadline.of_request deadline_ms in
   let trace = Option.map (fun id -> Trace.create ~id ~name:"proxy" ()) trace_id in
-  if Atomic.get t.stopping then
+  if stopping t then
     ( Protocol.Error
         { code = Protocol.Shutting_down; message = "proxy is draining"; retry_after_ms = None },
       trace )
@@ -577,19 +572,6 @@ let handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
          in
          (resp, trace))
 
-let histograms_of reg =
-  List.filter_map
-    (fun (s : Metrics.sample) ->
-      match s.value with
-      | Metrics.Histogram h when s.labels = [] ->
-        Some
-          ( s.name,
-            { Protocol.count = h.Metrics.total; sum = h.Metrics.sum;
-              p50 = Metrics.hist_quantile h 0.5; p90 = Metrics.hist_quantile h 0.9;
-              p99 = Metrics.hist_quantile h 0.99; buckets = h.Metrics.buckets } )
-      | _ -> None)
-    (Metrics.snapshot reg)
-
 (* The proxy answers [metrics] from its own registry. [workers] reports
    live backends and [queue_length] open coalesced flights — the closest
    cluster analogues of the single-server fields. *)
@@ -606,14 +588,15 @@ let metrics t =
     { uptime_ms = Clock.elapsed_ms t.started_ms; counters = Metrics.counters t.mx.reg;
       cache; store_dir = None; workers = List.length (live_backends t);
       queue_length = Coalesce.in_flight t.coalesce; queue_capacity = 0;
-      histograms = histograms_of t.mx.reg; algos = [] }
+      histograms = Protocol.histograms_of t.mx.reg; algos = [] }
 
 let health t =
   Protocol.Health_ok
     { uptime_s = Clock.elapsed_ms t.started_ms /. 1000.0;
       cache_capacity = (match t.cache with Some lru -> Lru.capacity lru | None -> 0) }
 
-let stop t = Atomic.set t.stopping true
+let stop t = Listener.stop t.listener
+let wait t = Listener.wait t.listener
 
 let respond t line =
   match Protocol.decode_request line with
@@ -637,12 +620,7 @@ let respond t line =
     handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id
 
 (* ------------------------------------------------------------------ *)
-(* Connections (same shape as Server: acceptor + thread per connection) *)
-
-let unregister t conn =
-  Mutex.lock t.lock;
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  Mutex.unlock t.lock
+(* Connections *)
 
 let finish_trace trace =
   Option.iter
@@ -655,12 +633,14 @@ let finish_trace trace =
             ("trace", Field.String (Trace.to_json tr)) ])
     trace
 
-let serve_conn t conn =
+(* Run by the listener on the connection's own thread; the listener
+   closes [fd] when it returns. *)
+let serve_conn t fd =
   Metrics.incr t.mx.m_connections;
-  let reader = Framing.reader conn.fd in
+  let reader = Framing.reader fd in
   let send resp =
     try
-      Framing.write_line conn.fd (Protocol.encode_response resp);
+      Framing.write_line fd (Protocol.encode_response resp);
       true
     with Unix.Unix_error _ | Sys_error _ -> false
   in
@@ -676,63 +656,16 @@ let serve_conn t conn =
                   Printf.sprintf "request exceeds %d bytes" Framing.default_max_line;
                 retry_after_ms = None }))
     | exception (Unix.Unix_error _ | Sys_error _) -> ()
-    | Some line when String.trim line = "" -> if not (Atomic.get t.stopping) then loop ()
+    | Some line when String.trim line = "" -> if not (stopping t) then loop ()
     | Some line ->
       let t0 = Clock.now_ms () in
       let resp, trace = respond t line in
       let written = send resp in
       finish_trace trace;
       Metrics.observe t.mx.m_request_ms (Clock.elapsed_ms t0);
-      if written && not (Atomic.get t.stopping) then loop ()
+      if written && not (stopping t) then loop ()
   in
-  (try loop () with _ -> ());
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  unregister t conn
-
-let accept_loop t =
-  let fd = t.listen_fd in
-  Unix.set_nonblock fd;
-  let rec loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select [ fd ] [] [] 0.05 with
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | [], _, _ -> ()
-       | _ :: _, _, _ -> (
-         match Unix.accept ~cloexec:true fd with
-         | exception
-             Unix.Unix_error
-               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-           ()
-         | cfd, _ ->
-           if Atomic.get t.stopping then (try Unix.close cfd with Unix.Unix_error _ -> ())
-           else begin
-             let conn = { fd = cfd } in
-             Mutex.lock t.lock;
-             t.conns <- conn :: t.conns;
-             t.threads <- Thread.create (fun () -> serve_conn t conn) () :: t.threads;
-             Mutex.unlock t.lock
-           end));
-      loop ()
-    end
-  in
-  loop ();
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  (match t.cfg.address with
-   | Framing.Unix_sock path -> (
-     try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-   | Framing.Tcp _ -> ());
-  Mutex.lock t.lock;
-  let conns = t.conns in
-  Mutex.unlock t.lock;
-  List.iter
-    (fun c -> try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    conns;
-  Mutex.lock t.lock;
-  let threads = t.threads in
-  t.threads <- [];
-  Mutex.unlock t.lock;
-  List.iter Thread.join threads;
-  Log.info "proxy drained" []
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
@@ -780,7 +713,6 @@ let start (cfg : config) =
   (match cfg.hedge with
    | Hedge_fixed ms when ms <= 0.0 -> invalid_arg "Proxy.start: hedge delay must be > 0"
    | Hedge_fixed _ | Hedge_off | Hedge_auto -> ());
-  Spp_server.Signals.ignore_sigpipe ();
   let backends =
     Array.of_list
       (List.map
@@ -799,7 +731,7 @@ let start (cfg : config) =
   Array.iter (fun b -> Hashtbl.replace by_name (Upstream.name b.up) b) backends;
   if Hashtbl.length by_name <> Array.length backends then
     invalid_arg "Proxy.start: duplicate backend address";
-  let listen_fd = Framing.listen cfg.address in
+  let listener = Listener.bind cfg.address in
   let t =
     { cfg; backends; by_name; health_mu = Mutex.create ();
       ring =
@@ -808,9 +740,8 @@ let start (cfg : config) =
       cache =
         (if cfg.cache_capacity = 0 then None
          else Some (Lru.create ~capacity:cfg.cache_capacity));
-      coalesce = Coalesce.create (); listen_fd; stopping = Atomic.make false;
-      lock = Mutex.create (); conns = []; threads = []; acceptor = None; prober = None;
-      started_ms = Clock.now_ms (); mx = instruments cfg.registry }
+      coalesce = Coalesce.create (); listener; started_ms = Clock.now_ms ();
+      mx = instruments cfg.registry }
   in
   Metrics.gauge_fn cfg.registry ~help:"Backends currently in the routing ring"
     "spp_proxy_ring_size" (fun () -> float_of_int (Ring.size (current_ring t)));
@@ -820,6 +751,8 @@ let start (cfg : config) =
     "spp_proxy_inflight_flights" (fun () -> float_of_int (Coalesce.in_flight t.coalesce));
   Metrics.gauge_fn cfg.registry ~help:"Seconds since the proxy started"
     "spp_proxy_uptime_seconds" (fun () -> Clock.elapsed_ms t.started_ms /. 1000.0);
+  Metrics.gauge_fn cfg.registry ~help:"Client connections currently open"
+    "spp_proxy_connections_open" (fun () -> float_of_int (Listener.connections listener));
   Array.iter
     (fun b ->
       Metrics.gauge_fn cfg.registry
@@ -827,16 +760,14 @@ let start (cfg : config) =
         ~labels:[ ("backend", Upstream.name b.up) ] "spp_breaker_state"
         (fun () -> Breaker.state_value b.brk))
     backends;
-  t.acceptor <- Some (Thread.create (fun () -> accept_loop t) ());
-  t.prober <- Some (Thread.create (fun () -> prober_loop t) ());
+  let prober = Thread.create (fun () -> prober_loop t) () in
+  Listener.start listener (serve_conn t) ~drained:(fun () ->
+      Thread.join prober;
+      Array.iter (fun b -> Upstream.close b.up) t.backends;
+      Log.info "proxy drained" []);
   Log.info "proxy listening"
     [ ("address", Field.String (Framing.address_to_string cfg.address));
       ("backends", Field.Int (Array.length backends));
       ("replicas", Field.Int cfg.replicas);
       ("cache_capacity", Field.Int cfg.cache_capacity) ];
   t
-
-let wait t =
-  (match t.acceptor with Some th -> Thread.join th | None -> ());
-  (match t.prober with Some th -> Thread.join th | None -> ());
-  Array.iter (fun b -> Upstream.close b.up) t.backends

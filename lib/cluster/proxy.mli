@@ -104,10 +104,10 @@ val default_config :
 
 type t
 
-(** [start cfg] binds the front address, spawns the acceptor and prober
-    threads, and returns immediately. All backends start presumed live;
-    the first probe cycle corrects that within roughly
-    [probe_interval_ms].
+(** [start cfg] binds the front address, spawns the prober and the
+    {!Spp_server.Listener}'s accept thread, and returns immediately. All
+    backends start presumed live; the first probe cycle corrects that
+    within roughly [probe_interval_ms].
     @raise Invalid_argument on an empty backend list or nonsensical
     numeric fields.
     @raise Unix.Unix_error if the front address cannot be bound. *)

@@ -1,13 +1,7 @@
-module Metrics = Spp_obs.Metrics
 module Expo = Spp_obs.Expo
 module Log = Spp_obs.Log
 
-type t = {
-  listen_fd : Unix.file_descr;
-  port : int;
-  stopping : bool Atomic.t;
-  mutable thread : Thread.t option;
-}
+type t = Listener.t
 
 let http_response ~status ~content_type body =
   Printf.sprintf
@@ -19,10 +13,11 @@ let write_all fd s =
   let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
   try go 0 with Unix.Unix_error _ -> ()
 
-(* One request per connection, handled inline: scrapers send a small GET
-   and read the reply. A 2 s budget — on the monotonic clock, so a stepped
-   wall clock can neither hang nor prematurely kill a scrape — bounds how
-   long a stuck peer can hold the accept loop. *)
+(* One request per connection, on the connection's own listener thread:
+   scrapers send a small GET and read the reply. A 2 s budget — on the
+   monotonic clock, so a stepped wall clock can neither hang nor
+   prematurely kill a scrape — bounds how long a stuck peer holds that
+   thread. The listener closes [fd]. *)
 let handle registry fd =
   let deadline = Spp_util.Clock.now_ms () +. 2_000.0 in
   let reader = Framing.reader ~max_line_bytes:8192 fd in
@@ -59,47 +54,16 @@ let handle registry fd =
          http_response ~status:"405 Method Not Allowed" ~content_type:"text/plain"
            "only GET is supported\n"
      in
-     write_all fd reply);
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t registry =
-  let fd = t.listen_fd in
-  Unix.set_nonblock fd;
-  let rec loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select [ fd ] [] [] 0.05 with
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | [], _, _ -> ()
-       | _ :: _, _, _ -> (
-         match Unix.accept ~cloexec:true fd with
-         | exception
-             Unix.Unix_error
-               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-           ()
-         | cfd, _ ->
-           (try handle registry cfd
-            with Framing.Line_too_long | Unix.Unix_error _ | Sys_error _ -> (
-              try Unix.close cfd with Unix.Unix_error _ -> ()))));
-      loop ()
-    end
-  in
-  loop ();
-  try Unix.close fd with Unix.Unix_error _ -> ()
+     write_all fd reply)
 
 let start ?(host = "127.0.0.1") ~port registry =
-  let listen_fd = Framing.listen (Framing.Tcp (host, port)) in
-  let port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
-  let t = { listen_fd; port; stopping = Atomic.make false; thread = None } in
-  t.thread <- Some (Thread.create (fun () -> accept_loop t registry) ());
+  let t = Listener.bind (Framing.Tcp (host, port)) in
+  Listener.start t (handle registry);
   Log.info "metrics endpoint listening"
-    [ ("host", Spp_obs.Field.String host); ("port", Spp_obs.Field.Int port) ];
+    [ ("host", Spp_obs.Field.String host); ("port", Spp_obs.Field.Int (Listener.port t)) ];
   t
 
-let port t = t.port
+let port = Listener.port
 
 (* Minimal scrape client, the inverse of [handle]: one GET, headers
    drained, body read to EOF ([Connection: close] bounds it). Used by
@@ -155,9 +119,5 @@ let fetch ?(timeout_ms = 2_000.0) ~host ~port () =
         | Sys_error m -> Error m)
 
 let stop t =
-  Atomic.set t.stopping true;
-  match t.thread with
-  | Some th ->
-    t.thread <- None;
-    Thread.join th
-  | None -> ()
+  Listener.stop t;
+  Listener.wait t

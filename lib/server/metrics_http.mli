@@ -3,9 +3,10 @@
     Serves [GET /metrics] with {!Spp_obs.Expo.render} of one registry
     over plain HTTP/1.1, one request per connection ([Connection: close]
     — exactly the shape Prometheus and [curl] speak). Anything else gets
-    a 404/405. Not a general web server: requests are handled inline on
-    the accept thread under a 2-second budget, which is plenty for a
-    scrape every few seconds and keeps the daemon's thread count flat. *)
+    a 404/405. Not a general web server: the accept loop is a
+    {!Listener}, so each scrape is answered on its own thread under a
+    2-second budget — a peer that stalls mid-request holds only its own
+    thread, never the next scrape. *)
 
 type t
 
@@ -24,5 +25,5 @@ val port : t -> int
 val fetch :
   ?timeout_ms:float -> host:string -> port:int -> unit -> (string, string) result
 
-(** [stop t] shuts the endpoint down and joins its thread. Idempotent. *)
+(** [stop t] shuts the endpoint down and joins its threads. Idempotent. *)
 val stop : t -> unit

@@ -66,6 +66,19 @@ type response =
   | Shutdown_ok
   | Error of { code : error_code; message : string; retry_after_ms : int option }
 
+let histograms_of reg =
+  let module M = Spp_obs.Metrics in
+  List.filter_map
+    (fun (s : M.sample) ->
+      match s.value with
+      | M.Histogram h when s.labels = [] ->
+        Some
+          ( s.name,
+            { count = h.M.total; sum = h.M.sum; p50 = M.hist_quantile h 0.5;
+              p90 = M.hist_quantile h 0.9; p99 = M.hist_quantile h 0.99; buckets = h.M.buckets } )
+      | _ -> None)
+    (M.snapshot reg)
+
 let error_code_to_string = function
   | Parse -> "parse"
   | Bad_request -> "bad_request"

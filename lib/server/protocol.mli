@@ -121,6 +121,10 @@ type response =
           clients that retry should wait at least this long. Omitted from
           the wire when [None]. *)
 
+(** [histograms_of reg] — the unlabelled histograms of [reg], as the
+    [metrics] reply carries them (server and proxy alike). *)
+val histograms_of : Spp_obs.Metrics.t -> (string * hist_reply) list
+
 val error_code_to_string : error_code -> string
 
 (** [error_code_of_string s] — inverse of {!error_code_to_string}. *)

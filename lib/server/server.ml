@@ -43,8 +43,6 @@ type job = {
   enqueued_ms : float;
 }
 
-type conn = { fd : Unix.file_descr }
-
 (* Handles registered once at [start]; every request touches these, so
    they must not go through the registry's name lookup on the hot path. *)
 type instruments = {
@@ -66,15 +64,10 @@ type instruments = {
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
+  listener : Listener.t;
   queue : job Bqueue.t;
-  stopping : bool Atomic.t;
-  lock : Mutex.t;  (* guards conns and threads *)
-  mutable conns : conn list;
-  mutable threads : Thread.t list;
   pool : Pool.t;
   started_ms : float;
-  mutable acceptor : Thread.t option;
   mx : instruments;
 }
 
@@ -160,20 +153,8 @@ let process cfg mx (job : job) =
   in
   ignore (Bqueue.try_push job.reply resp)
 
-let stop t = Atomic.set t.stopping true
-
-let histograms_of reg =
-  List.filter_map
-    (fun (s : Metrics.sample) ->
-      match s.value with
-      | Metrics.Histogram h when s.labels = [] ->
-        Some
-          ( s.name,
-            { Protocol.count = h.Metrics.total; sum = h.Metrics.sum;
-              p50 = Metrics.hist_quantile h 0.5; p90 = Metrics.hist_quantile h 0.9;
-              p99 = Metrics.hist_quantile h 0.99; buckets = h.Metrics.buckets } )
-      | _ -> None)
-    (Metrics.snapshot reg)
+let stop t = Listener.stop t.listener
+let wait t = Listener.wait t.listener
 
 let algos_of reg =
   let outcomes = Metrics.labeled_counters reg "spp_algo_outcomes_total" in
@@ -207,7 +188,7 @@ let metrics t =
           misses = s.Lru.misses; evictions = s.Lru.evictions };
       store_dir = Engine.store_dir t.cfg.engine; workers = t.cfg.workers;
       queue_length = Bqueue.length t.queue; queue_capacity = Bqueue.capacity t.queue;
-      histograms = histograms_of t.mx.reg; algos = algos_of t.mx.reg }
+      histograms = Protocol.histograms_of t.mx.reg; algos = algos_of t.mx.reg }
 
 let health t =
   Protocol.Health_ok
@@ -244,7 +225,7 @@ let respond t line =
         Some (Trace.create ?id:trace_id ~name:"request" ())
       else None
     in
-    if Atomic.get t.stopping then
+    if Listener.stopping t.listener then
       ( Protocol.Error
           { code = Protocol.Shutting_down; message = "server is draining";
             retry_after_ms = None },
@@ -322,11 +303,6 @@ let respond t line =
 (* ------------------------------------------------------------------ *)
 (* Connections *)
 
-let unregister t conn =
-  Mutex.lock t.lock;
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  Mutex.unlock t.lock
-
 let finish_trace t trace =
   Option.iter
     (fun tr ->
@@ -343,9 +319,11 @@ let finish_trace t trace =
             [ ("trace_id", Field.String (Trace.id tr)); ("ms", Field.Float total) ])
     trace
 
-let serve_conn t conn =
+(* The per-connection request loop, run by the listener on the
+   connection's own thread; the listener closes [fd] when it returns. *)
+let serve_conn t fd =
   Metrics.incr t.mx.m_connections;
-  let reader = Framing.reader ~max_line_bytes:t.cfg.max_request_bytes conn.fd in
+  let reader = Framing.reader ~max_line_bytes:t.cfg.max_request_bytes fd in
   let send ?trace resp =
     let line = Protocol.encode_response resp in
     let span =
@@ -355,7 +333,7 @@ let serve_conn t conn =
     in
     let ok =
       try
-        Framing.write_line conn.fd line;
+        Framing.write_line fd line;
         true
       with Unix.Unix_error _ | Sys_error _ -> false
     in
@@ -386,7 +364,7 @@ let serve_conn t conn =
                   Printf.sprintf "request exceeds %d bytes" t.cfg.max_request_bytes;
                 retry_after_ms = None }))
     | exception (Unix.Unix_error _ | Sys_error _) -> ()
-    | Some line when String.trim line = "" -> if not (Atomic.get t.stopping) then loop ()
+    | Some line when String.trim line = "" -> if not (Listener.stopping t.listener) then loop ()
     | Some line ->
       Metrics.incr ~by:(String.length line + 1) t.mx.m_bytes_in;
       Metrics.observe t.mx.m_request_bytes (float_of_int (String.length line + 1));
@@ -397,72 +375,18 @@ let serve_conn t conn =
       Metrics.observe t.mx.m_request_ms (Clock.elapsed_ms t0);
       (* After a drain began, finish this (in-flight) reply but take no
          further requests from the connection. *)
-      if written && not (Atomic.get t.stopping) then loop ()
+      if written && not (Listener.stopping t.listener) then loop ()
   in
-  (try loop () with _ -> ());
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  unregister t conn
+  loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Accepting and shutdown *)
+(* Lifecycle *)
 
-let accept_loop t =
-  let fd = t.listen_fd in
-  Unix.set_nonblock fd;
-  let rec loop () =
-    if not (Atomic.get t.stopping) then begin
-      (match Unix.select [ fd ] [] [] 0.05 with
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | [], _, _ -> ()
-       | _ :: _, _, _ -> (
-         match Unix.accept ~cloexec:true fd with
-         | exception
-             Unix.Unix_error
-               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-           ()
-         | cfd, _ ->
-           if Atomic.get t.stopping then (try Unix.close cfd with Unix.Unix_error _ -> ())
-           else begin
-             let conn = { fd = cfd } in
-             Mutex.lock t.lock;
-             t.conns <- conn :: t.conns;
-             t.threads <- Thread.create (fun () -> serve_conn t conn) () :: t.threads;
-             Mutex.unlock t.lock
-           end));
-      loop ()
-    end
-  in
-  loop ();
-  (* Drain. New connections first: close the listener (and unlink the
-     socket path so clients get a clean "no such server"). *)
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  (match t.cfg.address with
-   | Framing.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-   | Framing.Tcp _ -> ());
-  (* Wake idle connection threads blocked in read: shutting down the
-     receive side delivers EOF without touching replies still being
-     written for in-flight requests. *)
-  Mutex.lock t.lock;
-  let conns = t.conns in
-  Mutex.unlock t.lock;
-  List.iter
-    (fun c -> try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    conns;
-  (* In-flight requests finish on the still-running worker pool; their
-     connection threads write the replies and exit. *)
-  Mutex.lock t.lock;
-  let threads = t.threads in
-  t.threads <- [];
-  Mutex.unlock t.lock;
-  List.iter Thread.join threads;
-  (* Nothing can enqueue any more: let the workers drain out and exit. *)
-  Bqueue.close t.queue;
-  Pool.join t.pool;
-  Log.info "server drained" []
-
-let instruments reg queue =
+let instruments reg queue listener =
   Metrics.gauge_fn reg ~help:"Jobs waiting in the admission queue" "spp_queue_depth"
     (fun () -> float_of_int (Bqueue.length queue));
+  Metrics.gauge_fn reg ~help:"Client connections currently open" "spp_connections_open"
+    (fun () -> float_of_int (Listener.connections listener));
   { reg;
     m_shed =
       Metrics.counter reg ~help:"Solve requests refused because the queue was full"
@@ -499,11 +423,10 @@ let instruments reg queue =
         ~labels:[ ("stage", "dispatch") ] "spp_deadline_rejects_total" }
 
 let start cfg =
-  Signals.ignore_sigpipe ();
-  let listen_fd = Framing.listen cfg.address in
+  let listener = Listener.bind cfg.address in
   let queue = Bqueue.create ~capacity:cfg.queue_depth in
   let reg = Telemetry.metrics (Engine.telemetry cfg.engine) in
-  let mx = instruments reg queue in
+  let mx = instruments reg queue listener in
   (* A worker that dies mid-job must still answer that job's client: the
      supervisor fails the reply mailbox with a structured internal error. *)
   let on_crash (job : job) exn =
@@ -525,16 +448,17 @@ let start cfg =
     "spp_worker_deaths_total" (fun () -> Pool.deaths pool);
   Metrics.counter_fn reg ~help:"Worker domain restarts performed by the supervisor"
     "spp_worker_restarts_total" (fun () -> Pool.restarts pool);
-  let t =
-    { cfg; listen_fd; queue; stopping = Atomic.make false; lock = Mutex.create (); conns = [];
-      threads = []; pool; started_ms = Clock.now_ms (); acceptor = None; mx }
-  in
+  let t = { cfg; listener; queue; pool; started_ms = Clock.now_ms (); mx } in
   Metrics.gauge_fn reg ~help:"Seconds since the server started" "spp_uptime_seconds"
     (fun () -> Clock.elapsed_ms t.started_ms /. 1000.0);
-  t.acceptor <- Some (Thread.create (fun () -> accept_loop t) ());
+  (* In-flight requests finish on the still-running pool while the
+     listener drains their connections. After that nothing can enqueue,
+     so the queue closes and the workers drain out and exit. *)
+  Listener.start listener (serve_conn t) ~drained:(fun () ->
+      Bqueue.close queue;
+      Pool.join pool;
+      Log.info "server drained" []);
   Log.info "server listening"
     [ ("address", Field.String (Framing.address_to_string cfg.address));
       ("workers", Field.Int cfg.workers); ("queue_depth", Field.Int cfg.queue_depth) ];
   t
-
-let wait t = match t.acceptor with Some th -> Thread.join th | None -> ()

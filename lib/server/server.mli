@@ -4,7 +4,7 @@
     Concurrency shape:
 
     {v
-    acceptor thread --accept--> connection threads (one per client)
+    listener thread --accept--> connection threads (one per open client)
                                    | parse line, admission-check,
                                    | try_push job  ----------------+
                                    | block on reply mailbox        |
@@ -13,9 +13,12 @@
                                                          Engine.solve
     v}
 
-    - The acceptor feeds connections to lightweight threads; each thread
-      handles its client's requests strictly in order (the protocol is
-      synchronous per connection).
+    - A {!Listener} gives each accepted connection its own lightweight
+      thread, which handles its client's requests strictly in order (the
+      protocol is synchronous per connection). The listener tracks open
+      connections only — a thread leaves its table when the client goes
+      — so no structure grows with the number of connections served;
+      the table's size is the [spp_connections_open] gauge.
     - [solve] requests are admitted to a bounded queue; when it is full
       the client gets an immediate [overloaded] error instead of
       unbounded latency (load shedding).
@@ -37,10 +40,11 @@
       comes back as the engine's anytime incumbent with [degraded: true]
       (counted in [spp_degraded_replies_total]) rather than late.
     - {!stop} (from a signal handler, a [shutdown] request, or a test)
-      only flips a flag; the acceptor notices within ~50 ms and drains:
-      the listener closes (new connections refused), idle connections are
-      woken and closed, in-flight requests complete and their replies are
-      written, then the queue closes and the workers exit.
+      only flips the listener's flag; its accept thread notices within
+      ~50 ms and drains: the listening socket closes (new connections
+      refused), idle connections are woken and closed, in-flight requests
+      complete and their replies are written, then the queue closes and
+      the workers exit.
     - Robustness: worker domains are supervised (see {!Pool}) — a job
       whose worker dies still receives a structured [internal] reply, and
       deaths/restarts surface as [spp_worker_deaths_total] /
@@ -51,8 +55,8 @@
 
     Observability: the server registers its instruments on the engine
     telemetry's {!Spp_obs.Metrics} registry — [spp_requests_total]{[op]},
-    [spp_requests_shed_total], [spp_connections_total], queue depth and
-    in-flight gauges, bytes in/out, and [spp_request_ms] /
+    [spp_requests_shed_total], [spp_connections_total], open-connection,
+    queue-depth and in-flight gauges, bytes in/out, and [spp_request_ms] /
     [spp_queue_wait_ms] / request-and-response size histograms — so one
     registry feeds the [metrics] op and the scrape endpoint
     ({!Metrics_http}). A solve request is traced ({!Spp_obs.Trace}) when
@@ -105,8 +109,8 @@ val default_deadline_floor_ms : float
 
 type t
 
-(** [start cfg] binds the address, spawns the worker pool and the acceptor
-    thread, and returns immediately.
+(** [start cfg] binds the address, spawns the worker pool and the
+    listener's accept thread, and returns immediately.
     @raise Unix.Unix_error if the address cannot be bound. *)
 val start : config -> t
 

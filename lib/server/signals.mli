@@ -2,7 +2,7 @@
 
     OCaml signal handlers run between safe points, so a handler must do
     almost nothing: {!on_termination}'s callback should only flip an
-    atomic flag (e.g. {!Server.stop}) — the accept loop polls the flag and
+    atomic flag (e.g. {!Server.stop}) — the {!Listener} polls the flag and
     performs the actual teardown on its own thread, which is what makes
     SIGTERM-under-load drain cleanly instead of deadlocking on a mutex the
     interrupted thread already holds. *)
@@ -16,5 +16,5 @@ val on_termination : ?signals:int list -> (unit -> unit) -> unit
 
 (** [ignore_sigpipe ()] — a peer closing its socket mid-write must surface
     as [EPIPE] on the write, not kill the process. Called by
-    {!Server.start} and {!Client.connect}; idempotent. *)
+    {!Listener.bind} and {!Client.connect}; idempotent. *)
 val ignore_sigpipe : unit -> unit

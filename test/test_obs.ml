@@ -307,6 +307,32 @@ let test_runtime_gauges_on_live_scrape () =
       Alcotest.(check bool) "minor words counter present" true
         (get "spp_gc_minor_words_total" >= 0.0))
 
+(* A peer that stalls mid-headers holds only its own connection thread:
+   the next scrape is answered at once, not after the stalled peer's 2 s
+   budget runs out. *)
+let test_scrape_beside_stalled_peer () =
+  let reg = Metrics.create () in
+  Metrics.incr (Metrics.counter reg "spp_probe_total");
+  let ep = Spp_server.Metrics_http.start ~port:0 reg in
+  let port = Spp_server.Metrics_http.port ep in
+  let stalled = Framing.connect (Framing.Tcp ("127.0.0.1", port)) in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close stalled;
+      Spp_server.Metrics_http.stop ep)
+    (fun () ->
+      let partial = "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\n" in
+      ignore (Unix.write_substring stalled partial 0 (String.length partial));
+      (* Let the endpoint accept the stalled peer before the scrape. *)
+      Thread.delay 0.1;
+      let t0 = Spp_util.Clock.now_ms () in
+      (match Spp_server.Metrics_http.fetch ~host:"127.0.0.1" ~port () with
+       | Ok body ->
+         Alcotest.(check bool) "scrape body" true (contains ~needle:"spp_probe_total" body)
+       | Error e -> Alcotest.failf "scrape failed: %s" e);
+      let ms = Spp_util.Clock.elapsed_ms t0 in
+      Alcotest.(check bool) (Printf.sprintf "scrape took %.0f ms (< 1000)" ms) true (ms < 1000.0))
+
 (* ------------------------------------------------------------------ *)
 (* Traces *)
 
@@ -605,6 +631,8 @@ let () =
         [
           Alcotest.test_case "gc gauges on a live scrape" `Quick
             test_runtime_gauges_on_live_scrape;
+          Alcotest.test_case "scrape beside a stalled peer" `Quick
+            test_scrape_beside_stalled_peer;
         ] );
       ( "trace",
         [

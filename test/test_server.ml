@@ -1,7 +1,8 @@
 (* Tests for Spp_server: the hand-rolled JSON layer, protocol
    round-trips on adversarial payloads, the bounded queue, line framing,
-   and a live daemon — concurrent clients on a real Unix socket, junk
-   bytes answered with error replies, and graceful shutdown under load. *)
+   the shared listener's connection table and drain, and a live daemon —
+   concurrent clients on a real Unix socket, junk bytes answered with
+   error replies, and graceful shutdown under load. *)
 
 module Prng = Spp_util.Prng
 module Io = Spp_core.Io
@@ -15,6 +16,8 @@ module Framing = Spp_server.Framing
 module Bqueue = Spp_server.Bqueue
 module Server = Spp_server.Server
 module Client = Spp_server.Client
+module Listener = Spp_server.Listener
+module Metrics = Spp_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* Json *)
@@ -354,12 +357,12 @@ let check_solve_reply text (r : Protocol.solve_reply) =
         0
         (List.length (Validate.check_prec inst p)))
 
-let with_server ?(workers = 2) ?(queue_depth = 16) f =
+let with_server ?(workers = 2) ?(queue_depth = 16) ?(engine = Engine.create ()) f =
   let sock = temp_sock () in
   let address = Framing.Unix_sock sock in
   let srv =
     Server.start
-      { Server.address; workers; queue_depth; engine = Engine.create ();
+      { Server.address; workers; queue_depth; engine;
         default_budget_ms = Some 2000.0; solve_workers = Some 1;
         max_request_bytes = 1 lsl 16; slow_ms = None;
         idle_timeout_ms = None; read_timeout_ms = None;
@@ -581,6 +584,120 @@ let test_server_degraded_reply () =
       | other ->
         Alcotest.failf "expected full Solve_ok, got %s" (Protocol.encode_response other))
 
+(* ------------------------------------------------------------------ *)
+(* Listener *)
+
+(* Polls [cond] every 10 ms for up to 2 s; true as soon as it holds. *)
+let eventually cond =
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < deadline && (Thread.delay 0.01; go ()))
+  in
+  go ()
+
+(* Answers each line with "re: <line>" until EOF; a "slow" line first
+   reports itself on [started] and takes 200 ms. *)
+let echo ?started fd =
+  let r = Framing.reader fd in
+  let rec loop () =
+    match Framing.read_line r with
+    | None -> ()
+    | Some line ->
+      if line = "slow" then begin
+        Option.iter (fun q -> ignore (Bqueue.try_push q ())) started;
+        Thread.delay 0.2
+      end;
+      Framing.write_line fd ("re: " ^ line);
+      loop ()
+  in
+  loop ()
+
+let with_listener handle f =
+  let sock = temp_sock () in
+  let l = Listener.bind (Framing.Unix_sock sock) in
+  Listener.start l handle;
+  Fun.protect
+    ~finally:(fun () ->
+      Listener.stop l;
+      Listener.wait l)
+    (fun () -> f sock l)
+
+let connect_close_cycles address n =
+  for _ = 1 to n do
+    Unix.close (Framing.connect address)
+  done
+
+let gauge reg name =
+  List.find_map
+    (fun (s : Metrics.sample) ->
+      match s.value with
+      | Metrics.Gauge v when s.name = name && s.labels = [] -> Some v
+      | _ -> None)
+    (Metrics.snapshot reg)
+
+(* The table holds open connections only: served-and-closed ones leave,
+   so 200 cycles end where they began. *)
+let test_listener_table_holds_open_only () =
+  with_listener echo (fun sock l ->
+      let address = Framing.Unix_sock sock in
+      let held = List.init 3 (fun _ -> Framing.connect address) in
+      Alcotest.(check bool) "held connections counted" true
+        (eventually (fun () -> Listener.connections l = 3));
+      connect_close_cycles address 200;
+      Alcotest.(check bool) "200 closed cycles leave only the held ones" true
+        (eventually (fun () -> Listener.connections l = 3));
+      List.iter Unix.close held;
+      Alcotest.(check bool) "live count reads 0 once the handlers return" true
+        (eventually (fun () -> Listener.connections l = 0)));
+  let engine = Engine.create () in
+  let reg = Spp_engine.Telemetry.metrics (Engine.telemetry engine) in
+  with_server ~engine (fun address _srv ->
+      connect_close_cycles address 200;
+      Alcotest.(check bool) "spp_connections_open reads 0" true
+        (eventually (fun () -> gauge reg "spp_connections_open" = Some 0.0)))
+
+let test_listener_drain () =
+  let started = Bqueue.create ~capacity:1 in
+  let drained = Atomic.make false in
+  let sock = temp_sock () in
+  let address = Framing.Unix_sock sock in
+  let l = Listener.bind address in
+  Listener.start l (echo ~started) ~drained:(fun () -> Atomic.set drained true);
+  let idle = Framing.connect address in
+  let busy = Framing.connect address in
+  Framing.write_line busy "slow";
+  ignore (Bqueue.pop started);
+  Alcotest.(check bool) "both connections open" true
+    (eventually (fun () -> Listener.connections l = 2));
+  Listener.stop l;
+  let read fd = Framing.read_line ~idle_timeout_ms:2000.0 (Framing.reader fd) in
+  Alcotest.(check (option string)) "idle connection reads EOF" None (read idle);
+  Alcotest.(check (option string)) "in-flight reply arrives" (Some "re: slow") (read busy);
+  Listener.wait l;
+  Alcotest.(check bool) "drained step ran" true (Atomic.get drained);
+  Alcotest.(check int) "table empty" 0 (Listener.connections l);
+  Alcotest.(check bool) "socket path unlinked" false (Sys.file_exists sock);
+  (match Framing.connect address with
+   | fd ->
+     Unix.close fd;
+     Alcotest.fail "connect succeeded after the drain"
+   | exception Unix.Unix_error _ -> ());
+  Unix.close idle;
+  Unix.close busy
+
+let test_listener_handler_raises () =
+  with_listener (fun _fd -> failwith "handler bug") (fun sock l ->
+      for _ = 1 to 10 do
+        let fd = Framing.connect (Framing.Unix_sock sock) in
+        (match Framing.read_line ~idle_timeout_ms:2000.0 (Framing.reader fd) with
+         | None -> ()
+         | Some line -> Alcotest.failf "unexpected line %S" line
+         | exception Framing.Timeout -> Alcotest.fail "fd left open after the handler raised");
+        Unix.close fd
+      done;
+      Alcotest.(check bool) "raising handlers leave the table" true
+        (eventually (fun () -> Listener.connections l = 0)))
+
 let () =
   Alcotest.run "spp_server"
     [
@@ -615,6 +732,15 @@ let () =
         [
           Alcotest.test_case "backoff honors retry_after hint" `Quick
             test_client_backoff_hint_floor;
+        ] );
+      ( "listener",
+        [
+          Alcotest.test_case "table holds open connections only" `Quick
+            test_listener_table_holds_open_only;
+          Alcotest.test_case "drain: idle EOF, in-flight reply, path gone" `Quick
+            test_listener_drain;
+          Alcotest.test_case "raising handler closes and leaves" `Quick
+            test_listener_handler_raises;
         ] );
       ( "server",
         [
