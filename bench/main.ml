@@ -702,6 +702,8 @@ let timing () =
         (Staged.stage (fun () -> ignore (Config_lp.solve lp_model)));
       Test.make ~name:"T6 validator n=1000"
         (Staged.stage (fun () -> ignore (Placement.check packed)));
+      Test.make ~name:"T6r validator reference n=1000"
+        (Staged.stage (fun () -> ignore (Placement.Reference.check packed)));
       Test.make ~name:"T7 config-LP via column generation"
         (Staged.stage (fun () -> ignore (Spp_core.Config_colgen.solve lp_model)));
     ]

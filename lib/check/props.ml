@@ -587,6 +587,126 @@ let sim_stream =
           (List.length s1 = 16, fun () -> "trace dropped tasks") ])
 
 (* ------------------------------------------------------------------ *)
+(* Differential: sweep validators vs the pairwise reference loops *)
+
+(* The first position where two violation lists differ, for messages. *)
+let first_difference pp got expect =
+  let rec go i = function
+    | g :: gs, e :: es ->
+      if g = e then go (i + 1) (gs, es) else Printf.sprintf "at %d: %s vs %s" i (pp g) (pp e)
+    | g :: _, [] -> Printf.sprintf "at %d: %s vs nothing" i (pp g)
+    | [], e :: _ -> Printf.sprintf "at %d: nothing vs %s" i (pp e)
+    | [], [] -> "nowhere"
+  in
+  go 0 (got, expect)
+
+(* Each [(label, got, expect)] must agree exactly, order included. *)
+let agree pp cases =
+  all_pass
+    (List.map
+       (fun (label, got, expect) ->
+         ( got = expect,
+           fun () ->
+             Printf.sprintf "%s: sweep found %d violation(s), reference %d; first difference %s"
+               label (List.length got) (List.length expect) (first_difference pp got expect) ))
+       cases)
+
+(* A valid placement and seeded corruptions of it, each aimed at a tie or
+   a boundary of the sweep. Item order and ids are kept, so the lists stay
+   comparable position by position. *)
+let corrupt_placement rng p =
+  let items = Placement.items p in
+  let n = List.length items in
+  if n = 0 then [ ("as packed", p) ]
+  else begin
+    let i = Spp_util.Prng.int rng n in
+    let nb = List.nth items (Spp_util.Prng.int rng n) in
+    let nx = nb.Placement.pos.Placement.x and ny = nb.Placement.pos.Placement.y in
+    let at (it : Placement.item) x y = { it with Placement.pos = { Placement.x; y } } in
+    let move f = Placement.of_items (List.mapi (fun k it -> if k = i then f it else it) items) in
+    let half q = Q.div q Q.two in
+    let w (it : Placement.item) = it.Placement.rect.Rect.w in
+    let h (it : Placement.item) = it.Placement.rect.Rect.h in
+    let x (it : Placement.item) = it.Placement.pos.Placement.x in
+    let y (it : Placement.item) = it.Placement.pos.Placement.y in
+    [ ("as packed", p);
+      ("onto a neighbour", move (fun it -> at it nx ny));
+      ("past x = 1", move (fun it -> at it (Q.sub Q.one (half (w it))) (y it)));
+      ("left of x = 0", move (fun it -> at it (Q.neg (half (w it))) (y it)));
+      ("below y = 0", move (fun it -> at it (x it) (Q.neg (half (h it)))));
+      ("touching in x", move (fun it -> at it (Q.add nx (w nb)) ny));
+      ("touching in y", move (fun it -> at it nx (Q.add ny (h nb))));
+      ("one dropped", Placement.of_items (List.filteri (fun k _ -> k <> i) items));
+      ("all at y = 0", Placement.of_items (List.map (fun it -> at it (x it) Q.zero) items)) ]
+  end
+
+let diff_validate =
+  prop "diff.validate"
+    "Validate.check_prec / check_release (one sweep over y, one id table) return exactly the \
+     reference's violation list, order included, on LS and DC packings and on seeded \
+     corruptions: a rectangle moved onto a neighbour, pushed out of the strip, touching one \
+     exactly, dropped, and everything lowered to y = 0"
+    [ "prec"; "release"; "validate" ]
+    (fun parsed ->
+      let rng = Spp_util.Prng.create (stream_seed_of parsed) in
+      let pp = Format.asprintf "%a" Validate.pp_violation in
+      let cases name check reference p =
+        List.map
+          (fun (label, p') -> (name ^ ", " ^ label, check p', reference p'))
+          (corrupt_placement rng p)
+      in
+      match parsed with
+      | Io.Prec inst ->
+        let check = Validate.check_prec inst and reference = Validate.Reference.check_prec inst in
+        agree pp
+          (cases "ls" check reference (Spp_core.List_schedule.prec inst)
+          @ cases "dc" check reference (fst (Spp_core.Dc.pack inst)))
+      | Io.Release inst ->
+        agree pp
+          (cases "ls" (Validate.check_release inst) (Validate.Reference.check_release inst)
+             (Spp_core.List_schedule.release inst)))
+
+(* A sound segment log and seeded corruptions of it. *)
+let corrupt_log rng (r : Spp_sim.Sim.report) =
+  let module S = Spp_sim.Strip_state in
+  let segs = Array.of_list r.Spp_sim.Sim.segments in
+  let n = Array.length segs in
+  let with_segs f = { r with Spp_sim.Sim.segments = List.mapi f (Array.to_list segs) } in
+  if n = 0 then [ ("as run", r) ]
+  else begin
+    let i = Spp_util.Prng.int rng n in
+    let stretch = Q.of_ints (1 + Spp_util.Prng.int rng 4) 2 in
+    let one f = with_segs (fun k s -> if k = i then f s else s) in
+    [ ("as run", r);
+      ("all on column 0", with_segs (fun _ s -> { s with S.seg_lo = 0 }));
+      ("one zero-length", one (fun s -> { s with S.seg_to = s.S.seg_from }));
+      ("all zero-length", with_segs (fun _ s -> { s with S.seg_to = s.S.seg_from }));
+      ("one stretched", one (fun s -> { s with S.seg_to = Q.add s.S.seg_to stretch }));
+      ("all stretched", with_segs (fun _ s -> { s with S.seg_to = Q.add s.S.seg_to stretch })) ]
+  end
+
+let diff_sim_check =
+  prop "diff.sim.check"
+    "Sim.check (one sweep over time) returns exactly the reference's violation list, order \
+     included, on first-fit and repacking segment logs and on seeded corruptions: every \
+     segment on column 0, and segments made zero-length or stretched"
+    [ "release"; "validate" ]
+    (on_release (fun inst ->
+         let rng = Spp_util.Prng.create (stream_seed_of (Io.Release inst)) in
+         let pp = Format.asprintf "%a" Spp_sim.Sim.pp_violation in
+         let cases name r =
+           List.map
+             (fun (label, r') ->
+               (name ^ ", " ^ label, Spp_sim.Sim.check inst r', Spp_sim.Sim.Reference.check inst r'))
+             (corrupt_log rng r)
+         in
+         agree pp
+           (cases "first-fit" (Spp_sim.Sim.run ~packer:Spp_sim.Online.First_fit inst)
+           @ cases "repack"
+               (Spp_sim.Sim.run ~repack_threshold:(Q.of_ints 1 4) ~packer:Spp_sim.Online.First_fit
+                  inst))))
+
+(* ------------------------------------------------------------------ *)
 (* Engine / store round trip *)
 
 let tmp_counter = ref 0
@@ -722,6 +842,7 @@ let all =
     diff_engine; sound_engine_degraded;
     meta_relabel; meta_edge_drop; meta_release_slacken;
     sound_sim_ff; sound_sim_buffered; sound_sim_repack; sim_stream;
+    diff_validate; diff_sim_check;
   ]
 
 let select ?algos ~variant () =

@@ -20,7 +20,9 @@
     exact optimum under DAG edge removal and release slackening; agreement
     of the independent exact solvers on small instances; heuristics
     sandwiched between the lower bounds and nothing below the exact
-    optimum.
+    optimum; the sweep validators ([diff.validate], [diff.sim.check],
+    tag [validate]) agree list for list with the pairwise reference
+    loops on valid outputs and seeded corruptions of them.
 
     {b Simulation} ([sound.sim.*], [sim.*]) — online runs through
     {!Spp_sim.Sim} pass the independent segment validator at every

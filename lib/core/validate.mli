@@ -25,3 +25,14 @@ val is_valid_prec : Instance.Prec.t -> Spp_geom.Placement.t -> bool
 val check_release : Instance.Release.t -> Spp_geom.Placement.t -> violation list
 
 val is_valid_release : Instance.Release.t -> Spp_geom.Placement.t -> bool
+
+(** {!check_prec} and {!check_release} on the simple paths: geometry by
+    the pairwise {!Spp_geom.Placement.Reference.check}, edge endpoints and
+    release tasks looked up with the linear {!Spp_geom.Placement.find}
+    instead of one id table. The differential-testing oracle: each returns
+    the same list as its production counterpart, order included. Only the
+    tests and [lib/check] call it. *)
+module Reference : sig
+  val check_prec : Instance.Prec.t -> Spp_geom.Placement.t -> violation list
+  val check_release : Instance.Release.t -> Spp_geom.Placement.t -> violation list
+end

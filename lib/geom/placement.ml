@@ -47,23 +47,47 @@ let overlaps (ra : Rect.t) pa (rb : Rect.t) pb =
 type violation = Out_of_strip of int | Overlap of int * int
 
 let check t =
-  let violations = ref [] in
+  let outside =
+    List.filter_map
+      (fun it ->
+        let right = Q.add it.pos.x it.rect.Rect.w in
+        if Q.sign it.pos.x < 0 || Q.sign it.pos.y < 0 || Q.compare right Q.one > 0 then
+          Some (Out_of_strip it.rect.Rect.id)
+        else None)
+      t.items
+  in
+  (* Only rectangles whose y-ranges meet can overlap: sweep over y. *)
   let arr = Array.of_list t.items in
-  Array.iter
-    (fun it ->
-      let right = Q.add it.pos.x it.rect.Rect.w in
-      if Q.sign it.pos.x < 0 || Q.sign it.pos.y < 0 || Q.compare right Q.one > 0 then
-        violations := Out_of_strip it.rect.Rect.id :: !violations)
-    arr;
-  let n = Array.length arr in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a = arr.(i) and b = arr.(j) in
-      if overlaps a.rect a.pos b.rect b.pos then
-        violations := Overlap (a.rect.Rect.id, b.rect.Rect.id) :: !violations
-    done
-  done;
-  List.rev !violations
+  let overlapping =
+    Sweep.pairs
+      ~lo:(Array.map (fun it -> it.pos.y) arr)
+      ~hi:(Array.map (fun it -> Q.add it.pos.y it.rect.Rect.h) arr)
+      (fun i j -> overlaps arr.(i).rect arr.(i).pos arr.(j).rect arr.(j).pos)
+  in
+  outside @ List.map (fun (i, j) -> Overlap (arr.(i).rect.Rect.id, arr.(j).rect.Rect.id)) overlapping
+
+(* The pairwise loop: the oracle the differential tests compare [check]
+   with. *)
+module Reference = struct
+  let check t =
+    let violations = ref [] in
+    let arr = Array.of_list t.items in
+    Array.iter
+      (fun it ->
+        let right = Q.add it.pos.x it.rect.Rect.w in
+        if Q.sign it.pos.x < 0 || Q.sign it.pos.y < 0 || Q.compare right Q.one > 0 then
+          violations := Out_of_strip it.rect.Rect.id :: !violations)
+      arr;
+    let n = Array.length arr in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let a = arr.(i) and b = arr.(j) in
+        if overlaps a.rect a.pos b.rect b.pos then
+          violations := Overlap (a.rect.Rect.id, b.rect.Rect.id) :: !violations
+      done
+    done;
+    List.rev !violations
+end
 
 let is_valid t = check t = []
 

@@ -48,9 +48,21 @@ type violation =
   | Overlap of int * int  (** two rect ids with intersecting interiors *)
 
 (** [check t] returns all geometric violations (empty = geometrically
-    valid). Pairwise O(n²) reference oracle — deliberately simple so that it
-    can be trusted as the independent certificate for every algorithm. *)
+    valid): first [Out_of_strip] for each rectangle outside the strip, in
+    item order, then [Overlap (a, b)] for each overlapping pair with [a]
+    before [b] in item order, sorted by the positions of [a], then [b].
+    Overlap candidates come from one sweep over y ({!Sweep.pairs}) and
+    are decided by {!overlaps}; a valid packing costs
+    O(n log n + n / w_min). This is the independent certificate every
+    algorithm's output and every cached answer passes through. *)
 val check : t -> violation list
+
+(** The pairwise O(n²) loop over all rectangle pairs, kept as the
+    differential-testing oracle: [Reference.check t] equals [check t],
+    order included. Only the tests and [lib/check] call it. *)
+module Reference : sig
+  val check : t -> violation list
+end
 
 val is_valid : t -> bool
 

@@ -191,7 +191,9 @@ let pp_violation ppf = function
 
 let overlap_cols lo1 n1 lo2 n2 = lo1 < lo2 + n2 && lo2 < lo1 + n1
 
-let check (inst : I.Release.t) (r : report) =
+(* Everything but overlaps: coverage, release floors, segment chains,
+   strip bounds and widths, task by task in instance order. *)
+let task_violations (inst : I.Release.t) (r : report) =
   let violations = ref [] in
   let add v = violations := v :: !violations in
   let by_id = Hashtbl.create 64 in
@@ -235,35 +237,66 @@ let check (inst : I.Release.t) (r : report) =
         if Q.compare (Q.of_ints first.Strip_state.seg_cols r.k) t.I.Release.rect.Rect.w < 0 then
           add (Too_narrow id))
     inst.I.Release.tasks;
-  (* Pairwise time x column disjointness over the raw segment log. *)
+  List.rev !violations
+
+(* Two segments of different tasks sharing an instant and a column. *)
+let collide (a : Strip_state.segment) (b : Strip_state.segment) =
+  a.Strip_state.seg_id <> b.Strip_state.seg_id
+  && Q.compare a.Strip_state.seg_from b.Strip_state.seg_to < 0
+  && Q.compare b.Strip_state.seg_from a.Strip_state.seg_to < 0
+  && overlap_cols a.Strip_state.seg_lo a.Strip_state.seg_cols b.Strip_state.seg_lo
+       b.Strip_state.seg_cols
+
+let check (inst : I.Release.t) (r : report) =
+  (* Only segments whose time intervals meet can collide: sweep over time.
+     A task pair is reported once, at its first colliding segment pair in
+     log order. *)
   let segs = Array.of_list r.segments in
+  let colliding =
+    Spp_geom.Sweep.pairs
+      ~lo:(Array.map (fun (s : Strip_state.segment) -> s.Strip_state.seg_from) segs)
+      ~hi:(Array.map (fun (s : Strip_state.segment) -> s.Strip_state.seg_to) segs)
+      (fun i j -> collide segs.(i) segs.(j))
+  in
   let seen = Hashtbl.create 16 in
-  for i = 0 to Array.length segs - 1 do
-    for j = i + 1 to Array.length segs - 1 do
-      let a = segs.(i) and b = segs.(j) in
-      if a.Strip_state.seg_id <> b.Strip_state.seg_id then begin
-        let time_overlap =
-          Q.compare a.Strip_state.seg_from b.Strip_state.seg_to < 0
-          && Q.compare b.Strip_state.seg_from a.Strip_state.seg_to < 0
-        in
-        if
-          time_overlap
-          && overlap_cols a.Strip_state.seg_lo a.Strip_state.seg_cols b.Strip_state.seg_lo
-               b.Strip_state.seg_cols
-        then begin
+  let overlaps =
+    List.filter_map
+      (fun (i, j) ->
+        let a = segs.(i).Strip_state.seg_id and b = segs.(j).Strip_state.seg_id in
+        let pair = (min a b, max a b) in
+        if Hashtbl.mem seen pair then None
+        else begin
+          Hashtbl.replace seen pair ();
+          Some (Overlap (fst pair, snd pair))
+        end)
+      colliding
+  in
+  task_violations inst r @ overlaps
+
+(* The pairwise segment loop: the oracle the differential tests compare
+   [check] with. *)
+module Reference = struct
+  let check (inst : I.Release.t) (r : report) =
+    let violations = ref [] in
+    let segs = Array.of_list r.segments in
+    let seen = Hashtbl.create 16 in
+    for i = 0 to Array.length segs - 1 do
+      for j = i + 1 to Array.length segs - 1 do
+        let a = segs.(i) and b = segs.(j) in
+        if collide a b then begin
           let pair =
             (min a.Strip_state.seg_id b.Strip_state.seg_id,
              max a.Strip_state.seg_id b.Strip_state.seg_id)
           in
           if not (Hashtbl.mem seen pair) then begin
             Hashtbl.replace seen pair ();
-            add (Overlap (fst pair, snd pair))
+            violations := Overlap (fst pair, snd pair) :: !violations
           end
         end
-      end
-    done
-  done;
-  List.rev !violations
+      done
+    done;
+    task_violations inst r @ List.rev !violations
+end
 
 let to_placement (inst : I.Release.t) (r : report) =
   let by_id = Hashtbl.create 64 in

@@ -73,8 +73,22 @@ val pp_violation : Format.formatter -> violation -> unit
 (** [check inst report] independently validates the segment log against
     the instance: no two tasks overlap in time x columns, every task runs
     gaplessly for exactly its height starting at or after its release on
-    enough in-strip columns. Empty result = sound run. *)
+    enough in-strip columns. Empty result = sound run.
+
+    The per-task violations come first, task by task in instance order;
+    then one [Overlap (a, b)] ([a < b]) per colliding task pair, in the
+    order of the first colliding segment pair in log order. Colliding
+    segments are found by one sweep over time ({!Spp_geom.Sweep.pairs}):
+    a sound log costs O(s log s + s·k) for [s] segments on [k] columns. *)
 val check : Spp_core.Instance.Release.t -> report -> violation list
+
+(** {!check} with its overlap part done by a pairwise O(s²) loop over
+    the segment log, kept as the differential-testing oracle:
+    [Reference.check inst r] equals [check inst r], order included.
+    Only the tests and [lib/check] call it. *)
+module Reference : sig
+  val check : Spp_core.Instance.Release.t -> report -> violation list
+end
 
 (** [to_placement inst report] is the run as an offline placement
     ([x = col_lo / k], [y = start]) — [Some] iff no task was ever moved,

@@ -12,7 +12,7 @@
     Every occupancy interval is logged as a {!segment}, so an entire run
     can be checked for soundness after the fact (no two segments overlap
     in time × columns, chains are gapless, releases respected) by
-    {!Sim.check_segments} — the online counterpart of
+    {!Sim.check} — the online counterpart of
     {!Spp_core.Validate}. *)
 
 type resident = {

@@ -119,11 +119,19 @@ let test_validate_catches_violations () =
   (match Validate.check_prec inst side with
    | [ Validate.Precedence (0, 1) ] -> ()
    | _ -> Alcotest.fail "expected precedence violation");
-  (* Missing rect. *)
-  let missing = Placement.of_items [ at 0 Q.zero Q.zero ] in
-  (match Validate.check_prec inst missing with
-   | [ Validate.Missing_rect 1 ] -> ()
-   | _ -> Alcotest.fail "expected missing rect");
+  (* Missing rect: either endpoint of the edge, one Missing_rect and no
+     Precedence, as the reference reports. *)
+  List.iter
+    (fun (present, absent) ->
+      let missing = Placement.of_items [ at present Q.zero Q.zero ] in
+      (match Validate.check_prec inst missing with
+       | [ Validate.Missing_rect id ] when id = absent -> ()
+       | _ -> Alcotest.fail "expected missing rect");
+      Alcotest.(check bool) "missing: same as reference" true
+        (Validate.check_prec inst missing = Validate.Reference.check_prec inst missing))
+    [ (0, 1); (1, 0) ];
+  Alcotest.(check bool) "side: same as reference" true
+    (Validate.check_prec inst side = Validate.Reference.check_prec inst side);
   (* Extra rect. *)
   let extra =
     Placement.of_items
@@ -149,7 +157,9 @@ let test_validate_release_violations () =
   Alcotest.(check bool) "on time" true (Validate.is_valid_release inst (at Q.one));
   (match Validate.check_release inst (at (q 1 2)) with
    | [ Validate.Release 0 ] -> ()
-   | _ -> Alcotest.fail "expected release violation")
+   | _ -> Alcotest.fail "expected release violation");
+  Alcotest.(check bool) "same as reference" true
+    (Validate.check_release inst (at (q 1 2)) = Validate.Reference.check_release inst (at (q 1 2)))
 
 (* ------------------------------------------------------------------ *)
 (* DC (Theorem 2.3) *)

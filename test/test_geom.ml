@@ -41,6 +41,12 @@ let test_rect_sorts () =
 (* ------------------------------------------------------------------ *)
 (* Placement *)
 
+(* The sweep behind [Placement.check] must return the pairwise
+   reference's list exactly, order included. *)
+let same_as_reference label p =
+  let show vs = List.map (Format.asprintf "%a" Placement.pp_violation) vs in
+  Alcotest.(check (list string)) label (show (Placement.Reference.check p)) (show (Placement.check p))
+
 let test_placement_basics () =
   let p = Placement.of_items [ item (rect 0 1 2 1 1) (pos Q.zero Q.zero) ] in
   Alcotest.(check int) "size" 1 (Placement.size p);
@@ -60,13 +66,16 @@ let test_placement_overlap_detection () =
    | [ Placement.Overlap (0, 1) ] -> ()
    | other ->
      Alcotest.failf "expected one overlap, got %d violations" (List.length other));
-  (* Edge contact is not an overlap. *)
-  let b_touching = item (rect 1 1 2 1 1) (pos (q 1 2) Q.zero) in
-  Alcotest.(check bool) "side by side ok" true
-    (Placement.is_valid (Placement.of_items [ a; b_touching ]));
-  let b_stacked = item (rect 1 1 2 1 1) (pos Q.zero Q.one) in
-  Alcotest.(check bool) "stacked ok" true
-    (Placement.is_valid (Placement.of_items [ a; b_stacked ]))
+  same_as_reference "overlap" p;
+  (* Edge contact is not an overlap: in x, in y, or at a corner. *)
+  List.iter
+    (fun (label, b) ->
+      let p = Placement.of_items [ a; b ] in
+      Alcotest.(check bool) label true (Placement.is_valid p);
+      same_as_reference label p)
+    [ ("side by side ok", item (rect 1 1 2 1 1) (pos (q 1 2) Q.zero));
+      ("stacked ok", item (rect 1 1 2 1 1) (pos Q.zero Q.one));
+      ("corner ok", item (rect 1 1 2 1 1) (pos (q 1 2) Q.one)) ]
 
 let test_placement_out_of_strip () =
   let too_right = item (rect 0 3 4 1 1) (pos (q 1 2) Q.zero) in
@@ -76,7 +85,74 @@ let test_placement_out_of_strip () =
   let below = item (rect 1 1 2 1 1) (pos Q.zero (q (-1) 2)) in
   (match Placement.check (Placement.of_items [ below ]) with
    | [ Placement.Out_of_strip 1 ] -> ()
-   | _ -> Alcotest.fail "expected out-of-strip below")
+   | _ -> Alcotest.fail "expected out-of-strip below");
+  (* Both out of the strip and overlapping each other: strip violations
+     first, then the pair. *)
+  let p = Placement.of_items [ too_right; { below with Placement.pos = pos (q 1 4) (q (-1) 2) } ] in
+  Alcotest.(check bool) "strip, then overlap" true
+    (Placement.check p
+     = [ Placement.Out_of_strip 0; Placement.Out_of_strip 1; Placement.Overlap (0, 1) ]);
+  same_as_reference "out of strip" p
+
+let test_sweep_equal_bottoms () =
+  let a = item (rect 0 1 2 1 1) (pos Q.zero (q 1 2)) in
+  let side = item (rect 1 1 2 1 1) (pos (q 1 2) (q 1 2)) in
+  let over = item (rect 2 1 2 1 2) (pos (q 1 4) (q 1 2)) in
+  let p = Placement.of_items [ a; side; over ] in
+  Alcotest.(check bool) "both neighbours overlap the third" true
+    (Placement.check p = [ Placement.Overlap (0, 2); Placement.Overlap (1, 2) ]);
+  same_as_reference "equal bottoms" p
+
+let test_sweep_bottom_on_top () =
+  (* 1 sits on 0's top and is not an overlap; 2 spans the seam and hits
+     both. Listed top first, so the sweep's order is not the item order. *)
+  let p =
+    Placement.of_items
+      [ item (rect 1 1 1 1 1) (pos Q.zero Q.one);
+        item (rect 0 1 1 1 1) (pos Q.zero Q.zero);
+        item (rect 2 1 4 1 1) (pos (q 1 2) (q 1 2)) ]
+  in
+  Alcotest.(check bool) "seam overlaps only" true
+    (Placement.check p = [ Placement.Overlap (1, 2); Placement.Overlap (0, 2) ]);
+  same_as_reference "bottom on top" p
+
+let test_sweep_pile () =
+  (* 64 rectangles at y = 0, ids counting down: all 2016 pairs, ordered by
+     item position as the pairwise loop visits them. *)
+  let n = 64 in
+  let p =
+    Placement.of_items (List.init n (fun k -> item (rect (n - 1 - k) 1 2 1 1) (pos Q.zero Q.zero)))
+  in
+  let expected =
+    List.concat
+      (List.init n (fun i ->
+           List.init (n - 1 - i) (fun d -> Placement.Overlap (n - 1 - i, n - 2 - i - d))))
+  in
+  let got = Placement.check p in
+  Alcotest.(check int) "pair count" 2016 (List.length got);
+  Alcotest.(check bool) "reference order" true (got = expected);
+  same_as_reference "pile" p;
+  (* A staircase listed top down: each step overlaps the next one only. *)
+  let stairs =
+    Placement.of_items
+      (List.init n (fun k -> item (rect k 1 2 2 1) (pos Q.zero (Q.of_int (n - 1 - k)))))
+  in
+  Alcotest.(check int) "stair pairs" (n - 1) (List.length (Placement.check stairs));
+  same_as_reference "staircase" stairs
+
+let prop_sweep_matches_reference =
+  QCheck.Test.make ~name:"sweep check equals the pairwise reference" ~count:500
+    QCheck.(
+      list_of_size Gen.(int_range 0 24)
+        (quad (int_range (-1) 4) (int_range (-1) 6) (int_range 1 4) (int_range 1 3)))
+    (fun specs ->
+      let p =
+        Placement.of_items
+          (List.mapi
+             (fun i (xn, yn, wn, hn) -> item (rect i wn 4 hn 2) (pos (q xn 4) (q yn 2)))
+             specs)
+      in
+      Placement.check p = Placement.Reference.check p)
 
 let test_placement_shift_union () =
   let a = Placement.of_items [ item (rect 0 1 2 1 1) (pos Q.zero Q.zero) ] in
@@ -228,7 +304,11 @@ let () =
           Alcotest.test_case "overlap detection" `Quick test_placement_overlap_detection;
           Alcotest.test_case "out of strip" `Quick test_placement_out_of_strip;
           Alcotest.test_case "shift and union" `Quick test_placement_shift_union;
-        ] );
+          Alcotest.test_case "sweep: equal bottoms" `Quick test_sweep_equal_bottoms;
+          Alcotest.test_case "sweep: bottom on a top" `Quick test_sweep_bottom_on_top;
+          Alcotest.test_case "sweep: pile of 64" `Quick test_sweep_pile;
+        ]
+        @ qt [ prop_sweep_matches_reference ] );
       ( "skyline",
         Alcotest.test_case "ground floor" `Quick test_skyline_ground_floor
         :: Alcotest.test_case "fills valley" `Quick test_skyline_fills_valley

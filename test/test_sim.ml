@@ -274,7 +274,11 @@ let test_sim_check_catches_planted_overlap () =
   let tampered =
     { r with Sim.segments = List.map (fun (s : Strip.segment) -> { s with Strip.seg_lo = 0 }) r.Sim.segments }
   in
-  Alcotest.(check bool) "tampered log rejected" true (Sim.check inst tampered <> [])
+  Alcotest.(check bool) "tampered log rejected" true (Sim.check inst tampered <> []);
+  (* The sweep must report the pairwise reference's list, order included. *)
+  let show vs = List.map (Format.asprintf "%a" Sim.pp_violation) vs in
+  Alcotest.(check (list string)) "sweep equals reference"
+    (show (Sim.Reference.check inst tampered)) (show (Sim.check inst tampered))
 
 let test_sim_metrics_published () =
   let inst = golden_trace () in
