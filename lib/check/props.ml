@@ -806,6 +806,117 @@ let sound_engine_degraded =
       end)
 
 (* ------------------------------------------------------------------ *)
+(* Differential: the byte path against the parse path *)
+
+(* The printed instance and two re-spellings the parser reads as the same
+   instance: one with a comment line added, one with blank lines added
+   and the rect lines reversed. *)
+let spellings parsed =
+  let printed =
+    match parsed with
+    | Io.Prec inst -> Io.prec_to_string inst
+    | Io.Release inst -> Io.release_to_string inst
+  in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' printed) in
+  let rects, rest = List.partition (String.starts_with ~prefix:"rect ") lines in
+  [| ("printed", printed);
+     ("commented", "# the same instance, sent again\n" ^ printed);
+     ("respaced", "\n" ^ String.concat "\n\n" (List.rev rects @ rest) ^ "\n\n") |]
+
+let diff_hitpath =
+  prop "diff.hitpath"
+    "an engine answering byte path first (Engine.find_text, else parse and solve ~text) and \
+     one answering with Engine.solve alone agree on winner, height, lower bound, gap, source \
+     and placement text over a stream of the printed instance, two re-spellings of it and \
+     repeats, opened by a zero-budget bb/order solve whose degraded answer the byte path \
+     must not serve; each engine counts one LRU hit or miss per request"
+    [ "prec"; "release"; "engine"; "hitpath" ]
+    (fun parsed ->
+      let size =
+        match parsed with
+        | Io.Prec inst -> I.Prec.size inst
+        | Io.Release inst -> I.Release.size inst
+      in
+      if size > engine_gate then Skip
+      else begin
+        let module E = Spp_engine.Engine in
+        let texts = spellings parsed in
+        let rng = Spp_util.Prng.create (stream_seed_of parsed) in
+        let stream = Array.init (Array.length texts * 3) (fun i -> i mod Array.length texts) in
+        Spp_util.Prng.shuffle rng stream;
+        let a = E.create () and b = E.create () in
+        let algos = [ "dc"; "ls" ] in
+        (* Engine A: the byte path first, as [spp serve] answers. Texts it
+           has answered with a cacheable (not degraded) result must come
+           back by bytes: the LRU never fills up here. *)
+        let cached = Hashtbl.create 4 in
+        let answer_a ?budget_ms ?(algos = algos) label text =
+          let repeat = Hashtbl.mem cached text in
+          let by_bytes, ((r : E.result), _ as answer) =
+            match E.find_text a text with
+            | Some hit -> (true, hit)
+            | None ->
+              let r = E.solve ?budget_ms ~algos ~workers:1 ~text a (Io.parse_string text) in
+              (false, (r, Io.placement_to_string r.E.placement))
+          in
+          if not r.E.degraded then Hashtbl.replace cached text ();
+          ( answer,
+            ( by_bytes || not repeat,
+              fun () -> label ^ ": a byte-identical repeat missed the byte path" ) )
+        in
+        let answer_b ?budget_ms ?(algos = algos) text =
+          E.solve ?budget_ms ~algos ~workers:1 b (Io.parse_string text)
+        in
+        let source = function
+          | E.Computed -> "computed"
+          | E.Memory_cache -> "cache.memory"
+          | E.Disk_cache -> "cache.disk"
+        in
+        let agree label ((ra : E.result), text_a) (rb : E.result) =
+          let field name pp x y =
+            (x = y, fun () -> Printf.sprintf "%s: %s %s (byte path) vs %s" label name (pp x) (pp y))
+          in
+          [ field "winner" Fun.id ra.E.winner rb.E.winner;
+            field "height" qs ra.E.height rb.E.height;
+            field "lower_bound" qs ra.E.lower_bound rb.E.lower_bound;
+            field "gap" qs ra.E.gap rb.E.gap;
+            field "source" source ra.E.source rb.E.source;
+            field "degraded" string_of_bool ra.E.degraded rb.E.degraded;
+            field "placement" Fun.id text_a (Io.placement_to_string rb.E.placement) ]
+        in
+        let printed = snd texts.(0) in
+        let exact = [ "bb"; "order" ] in
+        let opener = "zero-budget opener" in
+        let opened_a, _ = answer_a ~budget_ms:0.0 ~algos:exact opener printed in
+        let opened_b = answer_b ~budget_ms:0.0 ~algos:exact printed in
+        let degraded_kept_out =
+          ( (not (fst opened_a).E.degraded) || E.find_text a printed = None,
+            fun () -> "the byte path served a degraded answer" )
+        in
+        let streamed =
+          List.concat_map
+            (fun k ->
+              let name, text = texts.(k) in
+              let label = "request " ^ name in
+              let got, by_bytes = answer_a label text in
+              by_bytes :: agree label got (answer_b text))
+            (Array.to_list stream)
+        in
+        let answered = 1 + Array.length stream in
+        let counted label e =
+          let s = E.cache_stats e in
+          ( s.Spp_engine.Lru.hits + s.Spp_engine.Lru.misses = answered,
+            fun () ->
+              Printf.sprintf "%s: %d LRU hits + %d misses for %d requests" label
+                s.Spp_engine.Lru.hits s.Spp_engine.Lru.misses answered )
+        in
+        all_pass
+          ((degraded_kept_out :: agree opener opened_a opened_b)
+          @ streamed
+          @ [ counted "byte-path engine" a; counted "parse-path engine" b ])
+      end)
+
+(* ------------------------------------------------------------------ *)
 (* Planted bug (self test) *)
 
 let buggy_pack (inst : I.Prec.t) =
@@ -842,7 +953,7 @@ let all =
     diff_engine; sound_engine_degraded;
     meta_relabel; meta_edge_drop; meta_release_slacken;
     sound_sim_ff; sound_sim_buffered; sound_sim_repack; sim_stream;
-    diff_validate; diff_sim_check;
+    diff_validate; diff_sim_check; diff_hitpath;
   ]
 
 let select ?algos ~variant () =

@@ -22,7 +22,11 @@
     sandwiched between the lower bounds and nothing below the exact
     optimum; the sweep validators ([diff.validate], [diff.sim.check],
     tag [validate]) agree list for list with the pairwise reference
-    loops on valid outputs and seeded corruptions of them.
+    loops on valid outputs and seeded corruptions of them; the engine's
+    byte path ([diff.hitpath], tag [hitpath]) answers a stream of an
+    instance, re-spellings of it and repeats exactly as the parse path
+    does, never serves a degraded answer, and counts one LRU hit or miss
+    per request.
 
     {b Simulation} ([sound.sim.*], [sim.*]) — online runs through
     {!Spp_sim.Sim} pass the independent segment validator at every

@@ -82,6 +82,9 @@ type t = {
   health_mu : Mutex.t;  (* guards [ring] and every backend's health fields *)
   mutable ring : Ring.t;  (* live members only *)
   cache : Protocol.solve_reply Lru.t option;
+  texts : string Lru.t option;
+      (* Digest.string of a request's instance text -> fingerprint, in
+         front of [cache] and sized like it *)
   coalesce : Protocol.response Coalesce.t;
   listener : Listener.t;
   started_ms : float;
@@ -495,6 +498,22 @@ let embed_trace trace (r : Protocol.solve_reply) =
   | Some tr ->
     { r with Protocol.trace = Result.to_option (Json.of_string (Trace.to_json tr)) }
 
+(* The instance's fingerprint. Bytes seen before map straight to it
+   through the text index; only unknown text is parsed (raising [Failure]
+   when it does not parse) and fingerprinted, then remembered. *)
+let fingerprint_of t instance =
+  let parse () = Fingerprint.parsed (Io.parse_string instance) in
+  match t.texts with
+  | None -> parse ()
+  | Some texts -> (
+    let key = Digest.string instance in
+    match Lru.find texts key with
+    | Some fp -> fp
+    | None ->
+      let fp = parse () in
+      Lru.add texts key fp;
+      fp)
+
 let handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
   (* Pin the propagated deadline to the proxy's clock at receipt: routing,
      the cache probe, coalescing and the upstream wait all count against
@@ -506,12 +525,11 @@ let handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
         { code = Protocol.Shutting_down; message = "proxy is draining"; retry_after_ms = None },
       trace )
   else
-    match Io.parse_string instance with
+    match fingerprint_of t instance with
     | exception Failure msg ->
       ( Protocol.Error { code = Protocol.Bad_instance; message = msg; retry_after_ms = None },
         trace )
-    | parsed ->
-      let fp = Fingerprint.parsed parsed in
+    | fp ->
       let cached =
         match t.cache with
         | None -> None
@@ -732,14 +750,15 @@ let start (cfg : config) =
   if Hashtbl.length by_name <> Array.length backends then
     invalid_arg "Proxy.start: duplicate backend address";
   let listener = Listener.bind cfg.address in
+  let bounded () =
+    if cfg.cache_capacity = 0 then None else Some (Lru.create ~capacity:cfg.cache_capacity)
+  in
   let t =
     { cfg; backends; by_name; health_mu = Mutex.create ();
       ring =
         Ring.create ~replicas:cfg.replicas
           (Array.to_list backends |> List.map (fun b -> Upstream.name b.up));
-      cache =
-        (if cfg.cache_capacity = 0 then None
-         else Some (Lru.create ~capacity:cfg.cache_capacity));
+      cache = bounded (); texts = bounded ();
       coalesce = Coalesce.create (); listener; started_ms = Clock.now_ms ();
       mx = instruments cfg.registry }
   in
@@ -753,12 +772,21 @@ let start (cfg : config) =
     "spp_proxy_uptime_seconds" (fun () -> Clock.elapsed_ms t.started_ms /. 1000.0);
   Metrics.gauge_fn cfg.registry ~help:"Client connections currently open"
     "spp_proxy_connections_open" (fun () -> float_of_int (Listener.connections listener));
+  let length = function Some lru -> float_of_int (Lru.length lru) | None -> 0.0 in
+  Metrics.gauge_fn cfg.registry ~help:"Replies in the proxy warm cache"
+    "spp_proxy_cache_entries" (fun () -> length t.cache);
+  Metrics.gauge_fn cfg.registry ~help:"Entries in the request-text index in front of the warm cache"
+    "spp_proxy_text_entries" (fun () -> length t.texts);
   Array.iter
     (fun b ->
+      let labels = [ ("backend", Upstream.name b.up) ] in
       Metrics.gauge_fn cfg.registry
         ~help:"Circuit breaker state per backend (0 closed, 1 half-open, 2 open)"
-        ~labels:[ ("backend", Upstream.name b.up) ] "spp_breaker_state"
-        (fun () -> Breaker.state_value b.brk))
+        ~labels "spp_breaker_state"
+        (fun () -> Breaker.state_value b.brk);
+      Metrics.gauge_fn cfg.registry ~help:"Idle upstream connections parked per backend"
+        ~labels "spp_proxy_upstream_idle"
+        (fun () -> float_of_int (Upstream.idle b.up)))
     backends;
   let prober = Thread.create (fun () -> prober_loop t) () in
   Listener.start listener (serve_conn t) ~drained:(fun () ->

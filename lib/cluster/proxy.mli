@@ -8,8 +8,9 @@
                         +-- health prober (health op, jittered)
     v}
 
-    - {b Routing}: each [solve] request's instance is parsed and
-      fingerprinted ({!Spp_engine.Fingerprint}), and the fingerprint is
+    - {b Routing}: each [solve] request's instance is fingerprinted
+      ({!Spp_engine.Fingerprint}; known text through the text index
+      below, unknown text parsed first), and the fingerprint is
       consistent-hashed ({!Ring}) over the {e live} backends — the same
       instance always lands on the same backend, so backend-local caches
       concentrate instead of diluting across the fleet.
@@ -21,7 +22,17 @@
     - {b Warm cache}: successful replies are snooped into a bounded
       fingerprint-keyed LRU; a repeat answers at the proxy with
       [source = "cache.proxy"] without touching a backend — and keeps
-      answering even when every backend is dead.
+      answering even when every backend is dead. Its size is the
+      [spp_proxy_cache_entries] gauge.
+    - {b Text index}: in front of the warm cache, a bounded LRU maps
+      [Digest.string] (MD5) of a request's raw instance text to its
+      fingerprint, so only text the proxy has not seen byte for byte is
+      parsed and fingerprinted. Routing, coalescing and the warm cache
+      still key on the fingerprint: a re-spelled instance (other comments
+      or spacing) is parsed once and then hits by fingerprint. The index
+      holds as many entries as the warm cache, is exported as
+      [spp_proxy_text_entries], and is off with it ([cache_capacity = 0]
+      parses every request).
     - {b Health}: a prober thread issues [health] ops on
       decorrelated-jitter intervals; [fail_after] consecutive failures
       evict a backend from the ring (its keys move to their ring
@@ -73,8 +84,12 @@ type config = {
   address : Spp_server.Framing.address;  (** front listen address *)
   backends : Spp_server.Framing.address list;  (** at least one *)
   replicas : int;  (** ring vnodes per backend, see {!Ring} *)
-  cache_capacity : int;  (** snoop-LRU entries; [0] disables the cache *)
-  pool_size : int;  (** idle upstream connections kept per backend *)
+  cache_capacity : int;
+      (** snoop-LRU entries, and text-index entries in front of it; [0]
+          disables both *)
+  pool_size : int;
+      (** idle upstream connections kept per backend
+          ([spp_proxy_upstream_idle]{[backend]}) *)
   upstream_timeout_ms : float option;
       (** bounds upstream connects and reply waits ([None] = no deadline) *)
   failover : int;

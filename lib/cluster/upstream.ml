@@ -20,6 +20,12 @@ let create ?(pool_size = default_pool_size) ?timeout_ms addr =
 let name t = t.name
 let address t = t.addr
 
+let idle t =
+  Mutex.lock t.mu;
+  let n = List.length t.idle in
+  Mutex.unlock t.mu;
+  n
+
 let checkout t =
   Mutex.lock t.mu;
   let c = match t.idle with c :: rest -> t.idle <- rest; Some c | [] -> None in

@@ -37,6 +37,9 @@ val address : t -> Spp_server.Framing.address
 val call :
   ?timeout_ms:float -> t -> Spp_server.Protocol.request -> Spp_server.Protocol.response
 
+(** Connections parked idle right now — at most [pool_size]. *)
+val idle : t -> int
+
 (** Close every parked connection (in-flight calls are unaffected; their
     connections close on checkin). Idempotent. *)
 val close : t -> unit

@@ -35,10 +35,20 @@ type result = {
   gap : Q.t;
 }
 
-type entry = { e_placement : Placement.t; e_height : Q.t; e_winner : string }
+(* An answer as the LRU keeps it: everything a byte-path hit replies
+   with, the bound and the encoded placement included, so {!find_text}
+   derives nothing from the instance. *)
+type entry = {
+  e_placement : Placement.t;
+  e_height : Q.t;
+  e_winner : string;
+  e_lower_bound : Q.t;
+  e_text : string;  (* Io.placement_to_string e_placement *)
+}
 
 type t = {
   cache : entry Lru.t;
+  texts : string Lru.t;  (* Digest.string of a request's text -> fingerprint *)
   store : Store.t option;
   tm : Telemetry.t;
   m_solve_ms : Metrics.histogram;
@@ -51,6 +61,7 @@ let profile_buckets = [| 1.0; 10.0; 100.0; 1_000.0; 10_000.0; 100_000.0; 1_000_0
 
 let create ?(cache_capacity = 128) ?store_dir ?store_max_entries ?telemetry () =
   let cache = Lru.create ~capacity:cache_capacity in
+  let texts = Lru.create ~capacity:cache_capacity in
   let store =
     Option.map (fun dir -> Store.create ?max_entries:store_max_entries ~dir ()) store_dir
   in
@@ -60,6 +71,9 @@ let create ?(cache_capacity = 128) ?store_dir ?store_max_entries ?telemetry () =
     (fun () -> (Lru.stats cache).Lru.evictions);
   Metrics.gauge_fn reg ~help:"Entries in the in-memory LRU" "spp_cache_entries"
     (fun () -> float_of_int (Lru.stats cache).Lru.size);
+  Metrics.gauge_fn reg ~help:"Entries in the request-text index in front of the LRU"
+    "spp_cache_text_entries"
+    (fun () -> float_of_int (Lru.length texts));
   Option.iter
     (fun store ->
       Metrics.gauge_fn reg ~help:"Entries in the disk store" "spp_store_entries"
@@ -90,7 +104,7 @@ let create ?(cache_capacity = 128) ?store_dir ?store_max_entries ?telemetry () =
   ignore
     (Metrics.histogram reg ~help:"Branch-and-bound nodes expanded per solve"
        ~buckets:profile_buckets "spp_bb_nodes");
-  { cache; store; tm;
+  { cache; texts; store; tm;
     m_solve_ms =
       Metrics.histogram reg ~help:"End-to-end solve latency in milliseconds" "spp_solve_ms";
     m_cancel_polls =
@@ -274,11 +288,50 @@ let finish_result t fp (r : result) =
      @ (if r.degraded then [ ("degraded", Telemetry.String "true") ] else []));
   r
 
-let solve ?budget_ms ?algos ?workers ?trace t parsed =
+let entry ~winner ~lower_bound placement height =
+  { e_placement = placement; e_height = height; e_winner = winner;
+    e_lower_bound = lower_bound; e_text = Io.placement_to_string placement }
+
+(* The byte path. No [Telemetry.record]: the event log is never trimmed,
+   and a hit this cheap would grow it several times faster than a solve. *)
+let find_text ?trace t text =
+  let t0 = Clock.now_ms () in
+  let known =
+    traced trace "cache.probe" ~fields:[ ("key", Spp_obs.Field.String "text") ] (fun _ ->
+        match Lru.find t.texts (Digest.string text) with
+        | Some fp when Lru.mem t.cache fp -> Some fp
+        | Some _ | None -> None)
+  in
+  match known with
+  | None -> None
+  | Some fp -> (
+    (* Probe the fault point once per request, as [solve] does, and only
+       for a hit: a miss goes on to [solve], which probes it there. The
+       probe comes before the counted lookup, so a request the fault
+       fails counts nothing, as in [solve]. *)
+    Spp_util.Fault.hit "engine.solve";
+    match Lru.find_hit t.cache fp with
+    | None -> None
+    | Some e ->
+      Telemetry.incr t.tm "solve.runs";
+      Telemetry.incr t.tm "cache.hit";
+      Telemetry.incr t.tm "cache.hit.memory";
+      let time_ms = Clock.elapsed_ms t0 in
+      Metrics.observe t.m_solve_ms time_ms;
+      Some
+        ( { placement = e.e_placement; height = e.e_height; winner = e.e_winner;
+            source = Memory_cache; outcomes = []; time_ms; degraded = false;
+            lower_bound = e.e_lower_bound; gap = Q.sub e.e_height e.e_lower_bound },
+          e.e_text ))
+
+let solve ?budget_ms ?algos ?workers ?trace ?text t parsed =
   Spp_util.Fault.hit "engine.solve";
   let t0 = Clock.now_ms () in
   Telemetry.incr t.tm "solve.runs";
   let fp = Fingerprint.parsed parsed in
+  (* Text to fingerprint depends on the bytes alone, so every path below
+     may fill the index — whether an answer exists stays the LRU's call. *)
+  (match text with None -> () | Some s -> Lru.add t.texts (Digest.string s) fp);
   let lb = lower_bound_of parsed in
   let gap_of height = Q.sub height lb in
   let probe =
@@ -305,7 +358,7 @@ let solve ?budget_ms ?algos ?workers ?trace t parsed =
     Telemetry.incr t.tm "cache.hit";
     Telemetry.incr t.tm "cache.hit.disk";
     let height = Placement.height p in
-    Lru.add t.cache fp { e_placement = p; e_height = height; e_winner = winner };
+    Lru.add t.cache fp (entry ~winner ~lower_bound:lb p height);
     finish_result t fp
       { placement = p; height; winner; source = Disk_cache; outcomes = [];
         time_ms = Clock.elapsed_ms t0; degraded = false; lower_bound = lb;
@@ -404,7 +457,7 @@ let solve ?budget_ms ?algos ?workers ?trace t parsed =
     let height = Placement.height placement in
     if degraded then Telemetry.incr t.tm "solve.degraded"
     else begin
-      Lru.add t.cache fp { e_placement = placement; e_height = height; e_winner = winner };
+      Lru.add t.cache fp (entry ~winner ~lower_bound:lb placement height);
       (* A failed cache write must never fail the solve we just computed. *)
       Option.iter
         (fun store ->

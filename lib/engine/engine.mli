@@ -24,7 +24,8 @@
     an uncancellable fallback — [solve] always returns a valid packing.
 
     All activity is recorded in a {!Telemetry} value: per-solver timing
-    events (name ["solver"]), per-solve summaries (name ["solve"]), and
+    events (name ["solver"]), per-solve summaries (name ["solve"]; none
+    for a {!find_text} hit), and
     counters ([solve.runs], [cache.hit], [cache.hit.memory],
     [cache.hit.disk], [cache.miss], [solver.solved], [solver.timeout],
     [solver.invalid], [solver.failed], [solver.incumbent],
@@ -39,7 +40,22 @@
     store is attached — [spp_store_entries] and [spp_store_prunes_total].
     Passing [?trace] to {!solve} records a span tree of the request
     (cache probe, the race with one span per algorithm and its
-    validation, the fallback) under the trace's root. *)
+    validation, the fallback) under the trace's root.
+
+    {b The byte path.} A bounded text index sits in front of the LRU. It
+    maps [Digest.string] (MD5, as {!Fingerprint}) of a request's raw
+    instance text to the instance's fingerprint, holds as many entries as
+    the LRU ([cache_capacity]) and is exported as the
+    [spp_cache_text_entries] gauge. {!solve} fills it whenever the caller
+    passes [~text], on every path — computed, memory hit, disk hit and
+    degraded alike — because text to fingerprint depends on the bytes
+    alone and never goes stale. Whether an answer exists stays the LRU's
+    decision: each entry keeps the placement, its exact [lower_bound] and
+    the placement already encoded by {!Spp_core.Io.placement_to_string},
+    so {!find_text} answers a byte-identical repeat without parsing,
+    fingerprinting, computing the bound or encoding. Texts that differ
+    only in comments or spacing are different keys; the first of each
+    takes the parse path and hits the LRU by fingerprint. *)
 
 type status =
   | Solved  (** finished in budget and validated *)
@@ -102,11 +118,35 @@ val store_dir : t -> string option
     {!Portfolio.defaults} — inapplicable ones are reported as [Skipped].
     [workers]: domains racing at once (default
     {!Spp_util.Parallel.available_workers}). [trace]: record this solve
-    as spans under the trace's root.
+    as spans under the trace's root. [text]: the raw text [parsed] came
+    from; remembered in the text index so {!find_text} can answer its
+    repeats.
     @raise Invalid_argument on an unknown name in [algos]. *)
 val solve :
   ?budget_ms:float -> ?algos:string list -> ?workers:int ->
-  ?trace:Spp_obs.Trace.t ->
+  ?trace:Spp_obs.Trace.t -> ?text:string ->
   t -> Spp_core.Io.parsed -> result
+
+(** [find_text t text] answers from memory when [text] — the raw
+    instance text a request carried — was seen by a {!solve} [~text]
+    whose fingerprint still has an LRU entry. It returns the
+    [Memory_cache] result together with its placement encoded as
+    {!Spp_core.Io.placement_to_string} would; [None] means "parse and
+    {!solve}", never "no such instance".
+
+    A hit counts exactly what a memory hit of {!solve} counts: one LRU
+    hit, [solve.runs], [cache.hit], [cache.hit.memory] and one
+    [spp_solve_ms] sample. A miss counts nothing — also when the index
+    knows the text but its LRU entry was evicted or never made (degraded
+    answers are not cached) — so the {!solve} that follows counts the
+    request's single LRU miss. The [engine.solve] fault point fires once,
+    on a hit only, for the same reason. Unlike {!solve}, a hit records no
+    {!Telemetry} event: the event log is never trimmed, and the byte path
+    answers several times as many requests per second as the parse path.
+    [trace] opens a [cache.probe] span (field [key = "text"]) under the
+    trace's root.
+    @raise Spp_util.Fault.Injected when the fault point fires. *)
+val find_text :
+  ?trace:Spp_obs.Trace.t -> t -> string -> (result * string) option
 
 val pp_status : Format.formatter -> status -> unit

@@ -43,17 +43,24 @@ let push_front t node =
   (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
   t.head <- Some node
 
+(* Count a hit on [node] and promote it to most-recently-used. *)
+let hit t node =
+  t.hits <- t.hits + 1;
+  unlink t node;
+  push_front t node;
+  Some node.value
+
 let find t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
-      | Some node ->
-        t.hits <- t.hits + 1;
-        unlink t node;
-        push_front t node;
-        Some node.value
+      | Some node -> hit t node
       | None ->
         t.misses <- t.misses + 1;
         None)
+
+let find_hit t key =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.tbl key with Some node -> hit t node | None -> None)
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.tbl key)
 

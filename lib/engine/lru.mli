@@ -19,6 +19,11 @@ val length : 'a t -> int
     most-recently-used. Counts a hit or a miss. *)
 val find : 'a t -> string -> 'a option
 
+(** [find_hit t key] is {!find} for a caller that counts its own
+    misses: a present key is promoted and counted as a hit, an absent one
+    counts nothing. *)
+val find_hit : 'a t -> string -> 'a option
+
 (** [mem t key] — no promotion, no accounting. *)
 val mem : 'a t -> string -> bool
 

@@ -31,6 +31,7 @@ let default_deadline_floor_ms = 5.0
 
 type job = {
   parsed : Io.parsed;
+  text : string;  (* the instance text [parsed] came from *)
   budget_ms : float option;
   deadline : Spp_util.Deadline.t option;
   algos : string list option;
@@ -79,6 +80,29 @@ let source_to_string = function
   | Engine.Memory_cache -> "cache.memory"
   | Engine.Disk_cache -> "cache.disk"
 
+(* The reply to a solve. A client-requested tree is serialised here,
+   after the engine spans closed but before reply.write and the root
+   close — those belong to the requester's side of the timeline (the
+   proxy's upstream span covers them). to_json renders open spans
+   without an "ms" field, so the open root is fine. *)
+let solve_ok ~wants_trace trace (r : Engine.result) placement =
+  let tree =
+    if wants_trace then
+      Option.bind trace (fun tr -> Result.to_option (Json.of_string (Trace.to_json tr)))
+    else None
+  in
+  Protocol.Solve_ok
+    { winner = r.Engine.winner; source = source_to_string r.Engine.source;
+      height = Q.to_string r.Engine.height; time_ms = r.Engine.time_ms; placement;
+      degraded = r.Engine.degraded;
+      lower_bound = Some (Q.to_string r.Engine.lower_bound);
+      gap = Some (Q.to_string r.Engine.gap);
+      trace_id = Option.map Trace.id trace; trace = tree }
+
+let fault_reply point =
+  Protocol.Error
+    { code = Protocol.Internal; message = "fault injected: " ^ point; retry_after_ms = None }
+
 let count_request mx op =
   Metrics.incr
     (Metrics.counter mx.reg ~help:"Requests received by op" ~labels:[ ("op", op) ]
@@ -117,35 +141,15 @@ let process cfg mx (job : job) =
       in
       match
         Engine.solve ?budget_ms ?algos:job.algos ?workers:cfg.solve_workers
-          ?trace:job.trace cfg.engine job.parsed
+          ?trace:job.trace ~text:job.text cfg.engine job.parsed
       with
       | r ->
-        (* The reply-embedded tree is serialised here, after the engine
-           spans closed but before reply.write and the root close — those
-           belong to the requester's side of the timeline (the proxy's
-           upstream span covers them). to_json renders open spans without
-           an "ms" field, so the open root is fine. *)
-        let trace =
-          if job.wants_trace then
-            Option.bind job.trace (fun tr ->
-                Result.to_option (Json.of_string (Trace.to_json tr)))
-          else None
-        in
         if r.Engine.degraded then Metrics.incr mx.m_degraded;
-        Protocol.Solve_ok
-          { winner = r.Engine.winner; source = source_to_string r.Engine.source;
-            height = Q.to_string r.Engine.height; time_ms = r.Engine.time_ms;
-            placement = Io.placement_to_string r.Engine.placement;
-            degraded = r.Engine.degraded;
-            lower_bound = Some (Q.to_string r.Engine.lower_bound);
-            gap = Some (Q.to_string r.Engine.gap);
-            trace_id = Option.map Trace.id job.trace; trace }
+        solve_ok ~wants_trace:job.wants_trace job.trace r
+          (Io.placement_to_string r.Engine.placement)
       | exception Invalid_argument msg ->
         Protocol.Error { code = Protocol.Bad_request; message = msg; retry_after_ms = None }
-      | exception Spp_util.Fault.Injected point ->
-        Protocol.Error
-          { code = Protocol.Internal; message = "fault injected: " ^ point;
-            retry_after_ms = None }
+      | exception Spp_util.Fault.Injected point -> fault_reply point
       | exception e ->
         Protocol.Error
           { code = Protocol.Internal; message = Printexc.to_string e; retry_after_ms = None }
@@ -195,6 +199,54 @@ let health t =
     { uptime_s = Clock.elapsed_ms t.started_ms /. 1000.0;
       cache_capacity = Engine.cache_capacity t.cfg.engine }
 
+(* A solve the byte path could not answer: parse it and hand it to a
+   worker through the admission queue, shedding when the queue is full. *)
+let parse_and_queue t ~instance ~budget_ms ~deadline ~algos ~trace ~wants_trace =
+  match Io.parse_string instance with
+  | exception Failure msg ->
+    Protocol.Error { code = Protocol.Bad_instance; message = msg; retry_after_ms = None }
+  | parsed ->
+    let budget_ms =
+      match budget_ms with Some _ -> budget_ms | None -> t.cfg.default_budget_ms
+    in
+    let reply = Bqueue.create ~capacity:1 in
+    let queue_span =
+      Option.map (fun tr -> Trace.span tr ~parent:(Trace.root tr) "queue.wait") trace
+    in
+    Metrics.gauge_add t.mx.m_inflight 1.0;
+    let resp =
+      if
+        not
+          (Bqueue.try_push t.queue
+             { parsed; text = instance; budget_ms; deadline; algos; reply; trace;
+               wants_trace; queue_span; enqueued_ms = Clock.now_ms () })
+      then begin
+        Metrics.incr t.mx.m_shed;
+        (match (trace, queue_span) with
+         | Some tr, Some s -> Trace.finish ~fields:[ ("outcome", Field.String "shed") ] tr s
+         | _ -> ());
+        if Bqueue.is_closed t.queue then
+          (* The pool died (every slot out of restart budget): shed
+             with a non-retryable error, not a misleading "queue full". *)
+          Protocol.Error
+            { code = Protocol.Internal; message = "worker pool closed"; retry_after_ms = None }
+        else
+          Protocol.Error
+            { code = Protocol.Overloaded;
+              message =
+                Printf.sprintf "admission queue full (depth %d)" (Bqueue.capacity t.queue);
+              retry_after_ms = Some t.cfg.retry_after_ms }
+      end
+      else (
+        match Bqueue.pop reply with
+        | Some r -> r
+        | None ->
+          Protocol.Error
+            { code = Protocol.Internal; message = "worker pool closed"; retry_after_ms = None })
+    in
+    Metrics.gauge_add t.mx.m_inflight (-1.0);
+    resp
+
 (* [respond] returns the request's trace alongside the response so the
    connection thread can span the reply write and run the slow-log check
    after the bytes are actually on the wire. *)
@@ -225,6 +277,7 @@ let respond t line =
         Some (Trace.create ?id:trace_id ~name:"request" ())
       else None
     in
+    let wants_trace = trace_id <> None in
     if Listener.stopping t.listener then
       ( Protocol.Error
           { code = Protocol.Shutting_down; message = "server is draining";
@@ -248,57 +301,16 @@ let respond t line =
             retry_after_ms = Some t.cfg.retry_after_ms },
         trace )
     end
-    else (
-      match Io.parse_string instance with
-      | exception Failure msg ->
-        ( Protocol.Error
-            { code = Protocol.Bad_instance; message = msg; retry_after_ms = None },
-          trace )
-      | parsed ->
-        let budget_ms =
-          match budget_ms with Some _ -> budget_ms | None -> t.cfg.default_budget_ms
-        in
-        let reply = Bqueue.create ~capacity:1 in
-        let queue_span =
-          Option.map (fun tr -> Trace.span tr ~parent:(Trace.root tr) "queue.wait") trace
-        in
-        Metrics.gauge_add t.mx.m_inflight 1.0;
-        let resp =
-          if
-            not
-              (Bqueue.try_push t.queue
-                 { parsed; budget_ms; deadline; algos; reply; trace;
-                   wants_trace = trace_id <> None;
-                   queue_span; enqueued_ms = Clock.now_ms () })
-          then begin
-            Metrics.incr t.mx.m_shed;
-            (match (trace, queue_span) with
-             | Some tr, Some s ->
-               Trace.finish ~fields:[ ("outcome", Field.String "shed") ] tr s
-             | _ -> ());
-            if Bqueue.is_closed t.queue then
-              (* The pool died (every slot out of restart budget): shed
-                 with a non-retryable error, not a misleading "queue full". *)
-              Protocol.Error
-                { code = Protocol.Internal; message = "worker pool closed";
-                  retry_after_ms = None }
-            else
-              Protocol.Error
-                { code = Protocol.Overloaded;
-                  message =
-                    Printf.sprintf "admission queue full (depth %d)" (Bqueue.capacity t.queue);
-                  retry_after_ms = Some t.cfg.retry_after_ms }
-          end
-          else (
-            match Bqueue.pop reply with
-            | Some r -> r
-            | None ->
-              Protocol.Error
-                { code = Protocol.Internal; message = "worker pool closed";
-                  retry_after_ms = None })
-        in
-        Metrics.gauge_add t.mx.m_inflight (-1.0);
-        (resp, trace))
+    else
+      (* A memory hit for these exact bytes is answered here, on the
+         connection thread: no parse, no queue, no worker handoff — so a
+         hit never waits behind cold solves, even when the queue is
+         full. *)
+      match Engine.find_text ?trace t.cfg.engine instance with
+      | Some (r, placement) -> (solve_ok ~wants_trace trace r placement, trace)
+      | exception Spp_util.Fault.Injected point -> (fault_reply point, trace)
+      | None ->
+        (parse_and_queue t ~instance ~budget_ms ~deadline ~algos ~trace ~wants_trace, trace)
 
 (* ------------------------------------------------------------------ *)
 (* Connections *)

@@ -5,12 +5,13 @@
 
     {v
     listener thread --accept--> connection threads (one per open client)
-                                   | parse line, admission-check,
-                                   | try_push job  ----------------+
+                                   | decode line, admission-check,
+                                   | Engine.find_text --hit--> reply
+                                   | miss: parse, try_push job ----+
                                    | block on reply mailbox        |
                                    v                               v
                              bounded Bqueue  <--pop--  worker pool (domains)
-                                                         Engine.solve
+                                                         Engine.solve ~text
     v}
 
     - A {!Listener} gives each accepted connection its own lightweight
@@ -19,9 +20,15 @@
       connections only — a thread leaves its table when the client goes
       — so no structure grows with the number of connections served;
       the table's size is the [spp_connections_open] gauge.
-    - [solve] requests are admitted to a bounded queue; when it is full
-      the client gets an immediate [overloaded] error instead of
-      unbounded latency (load shedding).
+    - A [solve] whose instance text is byte-identical to one the engine
+      has answered and still holds in its LRU is answered on the
+      connection thread by {!Spp_engine.Engine.find_text}: no parse, no
+      queue, no worker handoff — so a memory hit never waits behind cold
+      solves and is served even when the queue is full. The draining and
+      deadline-floor checks still come first.
+    - Every other [solve] is parsed and admitted to a bounded queue; when
+      it is full the client gets an immediate [overloaded] error instead
+      of unbounded latency (load shedding).
     - Worker domains share one engine, so the in-memory LRU, the disk
       store and the telemetry counters accumulate across all clients —
       repeats are served from cache at memory speed.
@@ -59,10 +66,13 @@
     queue-depth and in-flight gauges, bytes in/out, and [spp_request_ms] /
     [spp_queue_wait_ms] / request-and-response size histograms — so one
     registry feeds the [metrics] op and the scrape endpoint
-    ({!Metrics_http}). A solve request is traced ({!Spp_obs.Trace}) when
-    the client supplies a [trace_id], when [slow_ms] is set, or when the
-    log level is [Debug]; its span tree covers queue wait, the engine's
-    cache probe and race, and the reply write. Requests slower than
+    ({!Metrics_http}). Only requests that reach the queue count in
+    [spp_queue_wait_ms] and [spp_inflight_requests]; memory hits answered
+    on the connection thread do not. A solve request is traced
+    ({!Spp_obs.Trace}) when the client supplies a [trace_id], when
+    [slow_ms] is set, or when the log level is [Debug]; its span tree
+    covers the byte-path [cache.probe], then (on a miss) queue wait, the
+    engine's cache probe and race, and the reply write. Requests slower than
     [slow_ms] are logged at [warn] with the rendered trace attached. *)
 
 type config = {

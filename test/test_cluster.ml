@@ -379,6 +379,53 @@ let test_proxy_serves_from_cache_when_all_backends_die () =
       | other ->
         Alcotest.failf "expected overloaded, got %s" (Protocol.encode_response other))
 
+(* Every series of the gauge [name] in [reg], labels and value. *)
+let gauge_series reg name =
+  List.filter_map
+    (fun (s : Metrics.sample) ->
+      match s.Metrics.value with
+      | Metrics.Gauge v when s.Metrics.name = name -> Some (s.Metrics.labels, v)
+      | _ -> None)
+    (Metrics.snapshot reg)
+
+let gauge reg name =
+  match gauge_series reg name with [ ([], v) ] -> Some v | _ -> None
+
+(* Repeated bytes skip the parse at the proxy; re-spelled bytes of the
+   same instance are parsed once and hit by fingerprint. *)
+let test_proxy_byte_hit_matches_first_reply () =
+  with_cluster (fun cfg _px _srvs ->
+      let solved = function
+        | Protocol.Solve_ok r -> r
+        | other -> Alcotest.failf "expected solve_ok, got %s" (Protocol.encode_response other)
+      in
+      let text = instance_text 131 6 in
+      let first = solved (solve_via cfg.Proxy.address text) in
+      check_solve_reply text first;
+      let same what (r : Protocol.solve_reply) =
+        Alcotest.(check string) (what ^ ": proxy cache") "cache.proxy" r.Protocol.source;
+        Alcotest.(check string) (what ^ ": height") first.Protocol.height r.Protocol.height;
+        Alcotest.(check string) (what ^ ": placement") first.Protocol.placement r.Protocol.placement;
+        Alcotest.(check (option string)) (what ^ ": lower_bound") first.Protocol.lower_bound
+          r.Protocol.lower_bound;
+        Alcotest.(check (option string)) (what ^ ": gap") first.Protocol.gap r.Protocol.gap
+      in
+      same "byte hit" (solved (solve_via cfg.Proxy.address text));
+      same "re-spelled" (solved (solve_via cfg.Proxy.address ("# sent again\n\n" ^ text)));
+      let reg = cfg.Proxy.registry in
+      Alcotest.(check (option int)) "two hits" (Some 2)
+        (Metrics.find_counter reg "spp_proxy_cache_hits_total");
+      Alcotest.(check (option int)) "one miss" (Some 1)
+        (Metrics.find_counter reg "spp_proxy_cache_misses_total");
+      Alcotest.(check (option (float 0.0))) "one reply cached" (Some 1.0)
+        (gauge reg "spp_proxy_cache_entries");
+      Alcotest.(check (option (float 0.0))) "two spellings indexed" (Some 2.0)
+        (gauge reg "spp_proxy_text_entries");
+      let idle = gauge_series reg "spp_proxy_upstream_idle" in
+      Alcotest.(check int) "one idle gauge per backend" 2 (List.length idle);
+      Alcotest.(check (float 0.0)) "the one upstream call parked its connection" 1.0
+        (List.fold_left (fun acc (_, v) -> acc +. v) 0.0 idle))
+
 (* End-to-end trace stitching: the proxy forwards the client's trace id
    on the upstream solve, the backend embeds its span tree in the reply,
    and the proxy grafts that tree under its own [upstream] span — so the
@@ -725,6 +772,8 @@ let () =
             test_proxy_serves_from_cache_when_all_backends_die;
           Alcotest.test_case "stitches the backend trace under one id" `Quick
             test_proxy_stitches_backend_trace;
+          Alcotest.test_case "byte hit equals the first reply" `Quick
+            test_proxy_byte_hit_matches_first_reply;
         ] );
       ( "breaker",
         [

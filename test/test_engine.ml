@@ -98,6 +98,19 @@ let test_lru_replace () =
     (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
       ignore (Lru.create ~capacity:0))
 
+let test_lru_find_hit () =
+  let c = Lru.create ~capacity:2 in
+  Alcotest.(check (option int)) "absent" None (Lru.find_hit c "a");
+  Lru.add c "a" 1;
+  Lru.add c "b" 2;
+  Alcotest.(check (option int)) "present" (Some 1) (Lru.find_hit c "a");
+  (* The hit promoted "a", so "b" is the one evicted. *)
+  Lru.add c "c" 3;
+  Alcotest.(check bool) "b evicted" false (Lru.mem c "b");
+  let s = Lru.stats c in
+  Alcotest.(check int) "hit counted" 1 s.Lru.hits;
+  Alcotest.(check int) "absent key not counted" 0 s.Lru.misses
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
 
@@ -324,6 +337,27 @@ let test_engine_disk_store () =
   Alcotest.(check int) "disk hit counter" 1
     (Telemetry.counter (Engine.telemetry second) "cache.hit.disk")
 
+(* The byte path keeps nothing per request: answering a repeat 20 000
+   times must leave the live heap where it was. *)
+let test_engine_byte_path_retains_nothing () =
+  let engine = Engine.create () in
+  let text = Io.prec_to_string (random_prec 41 10) in
+  ignore (Engine.solve ~text engine (Io.parse_string text));
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  for _ = 1 to 20_000 do
+    match Engine.find_text engine text with
+    | Some (r, _) when r.Engine.source = Engine.Memory_cache -> ()
+    | Some _ | None -> Alcotest.fail "repeat missed the byte path"
+  done;
+  let grown = live () - before in
+  Alcotest.(check bool) (Printf.sprintf "live words grew by %d, under 50 000" grown) true
+    (grown < 50_000);
+  Alcotest.(check int) "every hit counted" 20_000 (Engine.cache_stats engine).Lru.hits
+
 let () =
   Alcotest.run "spp_engine"
     [
@@ -337,6 +371,7 @@ let () =
         [
           Alcotest.test_case "hit/miss/evict" `Quick test_lru_hit_miss_evict;
           Alcotest.test_case "replace" `Quick test_lru_replace;
+          Alcotest.test_case "find_hit counts hits only" `Quick test_lru_find_hit;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "counters and events" `Quick test_telemetry_counters_events ] );
@@ -361,5 +396,7 @@ let () =
             test_engine_never_worse_than_members;
           Alcotest.test_case "explicit algos" `Quick test_engine_explicit_algos;
           Alcotest.test_case "disk store" `Quick test_engine_disk_store;
+          Alcotest.test_case "byte path retains nothing" `Quick
+            test_engine_byte_path_retains_nothing;
         ] );
     ]

@@ -698,6 +698,98 @@ let test_listener_handler_raises () =
       Alcotest.(check bool) "raising handlers leave the table" true
         (eventually (fun () -> Listener.connections l = 0)))
 
+(* ------------------------------------------------------------------ *)
+(* Byte path: memory hits answered on the connection thread *)
+
+let solve_req ?deadline_ms ?budget_ms ?algos text =
+  Protocol.Solve { instance = text; budget_ms; deadline_ms; algos; trace_id = None }
+
+let solve_on ?deadline_ms ?budget_ms ?algos address text =
+  Client.with_connection address (fun c ->
+      Client.request c (solve_req ?deadline_ms ?budget_ms ?algos text))
+
+let solved what = function
+  | Protocol.Solve_ok r -> r
+  | other -> Alcotest.failf "%s: expected Solve_ok, got %s" what (Protocol.encode_response other)
+
+let cache_counts address =
+  match Client.with_connection address (fun c -> Client.request c Protocol.Metrics) with
+  | Protocol.Metrics_ok m -> (m.Protocol.cache.Protocol.hits, m.Protocol.cache.Protocol.misses)
+  | other -> Alcotest.failf "unexpected metrics reply: %s" (Protocol.encode_response other)
+
+(* The only worker is stalled on a novel solve; a repeat of a cached text
+   must not wait for it. *)
+let test_byte_hits_skip_busy_worker () =
+  with_server ~workers:1 (fun address _srv ->
+      let a = instance_text 91 6 and b = instance_text 92 6 in
+      ignore (solved "warm-up" (solve_on address a));
+      (match Spp_util.Fault.configure "pool.job=delay400" with
+       | Ok () -> ()
+       | Error msg -> Alcotest.failf "fault spec: %s" msg);
+      Fun.protect ~finally:Spp_util.Fault.clear (fun () ->
+          let fd = Framing.connect address in
+          Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+              let b_sent = Unix.gettimeofday () in
+              Framing.write_line fd (Protocol.encode_request (solve_req b));
+              Thread.delay 0.02;
+              let a_sent = Unix.gettimeofday () in
+              let ra = solved "repeat of A" (solve_on address a) in
+              let a_ms = 1000.0 *. (Unix.gettimeofday () -. a_sent) in
+              Alcotest.(check string) "A answered from memory" "cache.memory" ra.Protocol.source;
+              Alcotest.(check bool) (Printf.sprintf "A took %.1f ms, under 100" a_ms) true
+                (a_ms < 100.0);
+              match Framing.read_line (Framing.reader fd) with
+              | None -> Alcotest.fail "B's connection closed without a reply"
+              | Some line ->
+                let b_ms = 1000.0 *. (Unix.gettimeofday () -. b_sent) in
+                (match Protocol.decode_response line with
+                 | Ok resp -> check_solve_reply b (solved "novel B" resp)
+                 | Error msg -> Alcotest.failf "undecodable reply for B: %s" msg);
+                Alcotest.(check bool) (Printf.sprintf "B took %.0f ms, at least 400" b_ms) true
+                  (b_ms >= 400.0))))
+
+(* One LRU hit or miss per solve request, whichever path answered it. *)
+let test_byte_path_exact_accounting () =
+  let engine = Engine.create () in
+  with_server ~engine (fun address _srv ->
+      let text = instance_text 93 6 and n = 5 in
+      for _ = 1 to n do
+        check_solve_reply text (solved "repeat" (solve_on address text))
+      done;
+      Alcotest.(check (pair int int)) "N repeats: N-1 hits, 1 miss" (n - 1, 1)
+        (cache_counts address);
+      let reg = Spp_engine.Telemetry.metrics (Engine.telemetry engine) in
+      Alcotest.(check (option (float 0.0))) "one text indexed" (Some 1.0)
+        (gauge reg "spp_cache_text_entries");
+      (* A degraded answer is indexed but never cached: its repeat knows
+         the text yet misses once, on the parse path, and only then hits. *)
+      let small = instance_text 94 6 in
+      let degraded =
+        solved "zero budget" (solve_on ~budget_ms:0.0 ~algos:[ "bb"; "order" ] address small)
+      in
+      Alcotest.(check bool) "zero budget degraded" true degraded.Protocol.degraded;
+      Alcotest.(check string) "repeat recomputes" "computed"
+        (solved "repeat" (solve_on address small)).Protocol.source;
+      Alcotest.(check string) "then hits" "cache.memory"
+        (solved "repeat" (solve_on address small)).Protocol.source;
+      Alcotest.(check (pair int int)) "one count per request" (n, 3) (cache_counts address));
+  with_server ~engine:(Engine.create ~cache_capacity:1 ()) (fun address _srv ->
+      let a = instance_text 95 6 and b = instance_text 96 6 in
+      let texts = [ a; b; a; b; a; a; b; b ] in
+      List.iter (fun text -> check_solve_reply text (solved "alternating" (solve_on address text))) texts;
+      let hits, misses = cache_counts address in
+      Alcotest.(check int) "hits + misses = solve requests" (List.length texts) (hits + misses);
+      Alcotest.(check int) "only back-to-back repeats hit" 2 hits)
+
+(* The draining and deadline-floor checks still come before the cache. *)
+let test_byte_path_keeps_deadline_floor () =
+  with_server (fun address _srv ->
+      let text = instance_text 97 6 in
+      ignore (solved "warm-up" (solve_on address text));
+      match solve_on ~deadline_ms:1.0 address text with
+      | Protocol.Error { code = Protocol.Wont_make_it; _ } -> ()
+      | other -> Alcotest.failf "expected wont_make_it, got %s" (Protocol.encode_response other))
+
 let () =
   Alcotest.run "spp_server"
     [
@@ -751,5 +843,12 @@ let () =
           Alcotest.test_case "shutdown request drains" `Quick test_server_shutdown_request;
           Alcotest.test_case "wont_make_it below the floor" `Quick test_server_wont_make_it;
           Alcotest.test_case "degraded anytime reply" `Quick test_server_degraded_reply;
+        ] );
+      ( "byte path",
+        [
+          Alcotest.test_case "hits skip a busy worker" `Quick test_byte_hits_skip_busy_worker;
+          Alcotest.test_case "exact accounting" `Quick test_byte_path_exact_accounting;
+          Alcotest.test_case "deadline floor still first" `Quick
+            test_byte_path_keeps_deadline_floor;
         ] );
     ]
