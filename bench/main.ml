@@ -672,7 +672,7 @@ let e13 () =
 (* Timing benches (Bechamel). *)
 
 let timing () =
-  section "T1-T7  Timing (Bechamel; ns per run, linear-regression estimate)";
+  section "T1-T8  Timing (Bechamel; ns per run, linear-regression estimate)";
   let open Bechamel in
   let open Toolkit in
   let rng = Prng.create 99 in
@@ -680,6 +680,7 @@ let timing () =
   let uinst = Generators.random_uniform_prec rng ~n:128 ~k:8 ~shape:`Layered in
   let rects1000 = Generators.random_rects rng ~n:1000 ~k:16 ~h_den:8 in
   let rinst = Generators.random_release rng ~n:12 ~k:2 ~h_den:4 ~r_den:2 ~load:1.3 in
+  let rinst8 = Generators.random_release rng ~n:8 ~k:2 ~h_den:4 ~r_den:2 ~load:1.3 in
   let packed = Spp_pack.Level.nfdh rects1000 in
   let lp_model =
     (* A medium LP: the APTAS configuration LP for rinst after reduction. *)
@@ -706,6 +707,10 @@ let timing () =
         (Staged.stage (fun () -> ignore (Placement.Reference.check packed)));
       Test.make ~name:"T7 config-LP via column generation"
         (Staged.stage (fun () -> ignore (Spp_core.Config_colgen.solve lp_model)));
+      Test.make ~name:"T8 order search release n=8"
+        (Staged.stage (fun () -> ignore (Spp_exact.Order_search.best_release rinst8)));
+      Test.make ~name:"T8r order search reference"
+        (Staged.stage (fun () -> ignore (Spp_exact.Order_search.Reference.best_release rinst8)));
     ]
   in
   let benchmark test =

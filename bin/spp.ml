@@ -221,14 +221,17 @@ let cache_max_arg =
                    "Disk cache entry cap; oldest entries are pruned above it (default %d)."
                    Spp_engine.Store.default_max_entries))
 
-let make_engine ~cache_dir ~no_cache ~cache_max =
+(* The event log is kept only for [--stats-json], its one reader; without
+   it a long-running daemon would hold every solve's event. *)
+let make_engine ~cache_dir ~no_cache ~cache_max ~stats_json =
   (match cache_max with
    | Some n when n < 1 ->
      Printf.eprintf "error: --cache-max must be >= 1\n";
      exit 1
    | _ -> ());
   let store_dir = if no_cache then None else (match cache_dir with Some d -> Some d | None -> default_cache_dir ()) in
-  Engine.create ?store_dir ?store_max_entries:cache_max ()
+  let telemetry = Telemetry.create ~events:(stats_json <> None) () in
+  Engine.create ?store_dir ?store_max_entries:cache_max ~telemetry ()
 
 let write_stats engine = function
   | None -> ()
@@ -267,7 +270,7 @@ let solve_cmd =
   in
   let run file budget_ms algos workers stats_json cache_dir no_cache cache_max repeat =
     let parsed = read_instance file in
-    let engine = make_engine ~cache_dir ~no_cache ~cache_max in
+    let engine = make_engine ~cache_dir ~no_cache ~cache_max ~stats_json in
     let res = ref None in
     for _ = 1 to max 1 repeat do
       res := Some (run_engine_solve engine ?budget_ms ?algos ?workers parsed)
@@ -303,7 +306,7 @@ let batch_cmd =
       Printf.eprintf "error: no *.spp files in %s\n" dir;
       exit exit_io_error
     end;
-    let engine = make_engine ~cache_dir ~no_cache ~cache_max in
+    let engine = make_engine ~cache_dir ~no_cache ~cache_max ~stats_json in
     let solve_workers =
       match workers with
       | Some _ -> workers
@@ -931,7 +934,7 @@ let serve_cmd =
     arm_faults ~flag:faults ~seed_flag:fault_seed;
     let available = Spp_util.Parallel.available_workers () in
     let workers = match workers with Some w -> w | None -> max 1 available in
-    let engine = make_engine ~cache_dir ~no_cache ~cache_max in
+    let engine = make_engine ~cache_dir ~no_cache ~cache_max ~stats_json in
     let cfg =
       { Server.address; workers; queue_depth; engine; default_budget_ms = budget_ms;
         (* Each worker races portfolio members on its own domains; narrow the

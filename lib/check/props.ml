@@ -707,6 +707,95 @@ let diff_sim_check =
                   inst))))
 
 (* ------------------------------------------------------------------ *)
+(* Differential: the integer order-search kernel vs the rational search *)
+
+(* Every height and release times [factor]. A factor below 1 keeps
+   release heights <= 1, and scaling y by a constant leaves the search
+   tree as it is. *)
+let scale_y factor parsed =
+  let rect (r : Rect.t) = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h factor) in
+  match parsed with
+  | Io.Prec inst -> Io.Prec (I.Prec.make (List.map rect inst.I.Prec.rects) inst.I.Prec.dag)
+  | Io.Release inst ->
+    Io.Release
+      (I.Release.make ~k:inst.I.Release.k
+         (List.map
+            (fun (t : I.Release.task) ->
+              { I.Release.rect = rect t.I.Release.rect; release = Q.mul t.I.Release.release factor })
+            inst.I.Release.tasks))
+
+(* p/(p+1) for p = 2^20 - 3 keeps the kernel on large integers; for
+   p = 2^61 - 1 the y scale passes 2^60, so the search falls back. *)
+let order_versions parsed =
+  let p_20 = 1_048_573 and p_61 = (1 lsl 61) - 1 in
+  [ ("as generated", parsed);
+    ("y times p/(p+1), p = 2^20 - 3", scale_y (Q.of_ints p_20 (p_20 + 1)) parsed);
+    ("y times p/(p+1), p = 2^61 - 1", scale_y (Q.of_ints p_61 (p_61 + 1)) parsed) ]
+
+let diff_order =
+  prop "diff.order"
+    "on n <= 8: Order_search (the integer kernel) returns exactly what Order_search.Reference \
+     (lists and rationals) returns: height, placement text, item order, nodes expanded and \
+     profile node and pruned counts, on the instance as generated and with every height and \
+     release scaled by p/(p+1) for p = 2^20 - 3 (large integers) and p = 2^61 - 1 (the \
+     fallback); the scaled searches expand the same number of nodes"
+    [ "prec"; "release"; "order"; "kernel" ]
+    (fun parsed ->
+      let n =
+        match parsed with Io.Prec inst -> I.Prec.size inst | Io.Release inst -> I.Release.size inst
+      in
+      if n > engine_gate then Skip
+      else with_exact_budget @@ fun cancel ->
+        let module O = Spp_exact.Order_search in
+        let profiled search =
+          Spp_obs.Profile.reset ();
+          let out = search () in
+          (out, Spp_obs.Profile.read ())
+        in
+        (* Each view of a result as text; the placement text is sorted by
+           id, so the item list's own order (newest first) is a view too. *)
+        let views =
+          [ ("height", fun ((o : O.outcome), _) -> qs o.O.height);
+            ("placement", fun (o, _) -> Io.placement_to_string o.O.placement);
+            ( "item order",
+              fun (o, _) ->
+                String.concat " "
+                  (List.map
+                     (fun (it : Placement.item) -> string_of_int it.Placement.rect.Rect.id)
+                     (Placement.items o.O.placement)) );
+            ("nodes", fun (o, _) -> string_of_int o.O.nodes_expanded);
+            ( "profile nodes/pruned",
+              fun (_, (p : Spp_obs.Profile.snapshot)) ->
+                Printf.sprintf "%d/%d" p.Spp_obs.Profile.bb_nodes p.Spp_obs.Profile.bb_pruned ) ]
+        in
+        let compare_on (label, parsed) =
+          let fast, slow =
+            match parsed with
+            | Io.Prec inst ->
+              (profiled (fun () -> O.best_prec ~cancel inst),
+               profiled (fun () -> O.Reference.best_prec ~cancel inst))
+            | Io.Release inst ->
+              (profiled (fun () -> O.best_release ~cancel inst),
+               profiled (fun () -> O.Reference.best_release ~cancel inst))
+          in
+          ( (fst fast).O.nodes_expanded,
+            List.map
+              (fun (what, view) ->
+                ( view fast = view slow,
+                  fun () ->
+                    Printf.sprintf "%s: %s %s, reference %s" label what (view fast) (view slow) ))
+              views )
+        in
+        let results = List.map compare_on (order_versions parsed) in
+        let nodes = List.map fst results in
+        all_pass
+          (List.concat_map snd results
+          @ [ (List.for_all (( = ) (List.hd nodes)) nodes,
+               fun () ->
+                 Printf.sprintf "scaling y changed the tree: %s nodes"
+                   (String.concat " / " (List.map string_of_int nodes))) ]))
+
+(* ------------------------------------------------------------------ *)
 (* Engine / store round trip *)
 
 let tmp_counter = ref 0
@@ -953,7 +1042,7 @@ let all =
     diff_engine; sound_engine_degraded;
     meta_relabel; meta_edge_drop; meta_release_slacken;
     sound_sim_ff; sound_sim_buffered; sound_sim_repack; sim_stream;
-    diff_validate; diff_sim_check; diff_hitpath;
+    diff_validate; diff_sim_check; diff_hitpath; diff_order;
   ]
 
 let select ?algos ~variant () =

@@ -26,7 +26,9 @@
     byte path ([diff.hitpath], tag [hitpath]) answers a stream of an
     instance, re-spellings of it and repeats exactly as the parse path
     does, never serves a degraded answer, and counts one LRU hit or miss
-    per request.
+    per request; the integer order-search kernel ([diff.order], tag
+    [kernel]) returns what {!Spp_exact.Order_search.Reference} returns,
+    node for node, on the kernel and on its fallback.
 
     {b Simulation} ([sound.sim.*], [sim.*]) — online runs through
     {!Spp_sim.Sim} pass the independent segment validator at every

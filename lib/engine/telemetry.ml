@@ -18,14 +18,16 @@ type t = {
   epoch_ms : float;
   metrics : Metrics.t;
   handles : (string, Metrics.counter) Hashtbl.t;  (* incr-by-name fast path *)
-  mutable events : event list;  (* newest first *)
+  keep_events : bool;
+  mutable events : event list;  (* newest first; stays empty without [keep_events] *)
   lock : Mutex.t;
 }
 
-let create ?metrics () =
+let create ?metrics ?(events = true) () =
   { epoch_ms = Clock.now_ms ();
     metrics = (match metrics with Some m -> m | None -> Metrics.create ());
     handles = Hashtbl.create 16;
+    keep_events = events;
     events = [];
     lock = Mutex.create () }
 
@@ -36,8 +38,10 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let record t ~name fields =
-  let at_ms = Clock.elapsed_ms t.epoch_ms in
-  locked t (fun () -> t.events <- { name; at_ms; fields } :: t.events)
+  if t.keep_events then begin
+    let at_ms = Clock.elapsed_ms t.epoch_ms in
+    locked t (fun () -> t.events <- { name; at_ms; fields } :: t.events)
+  end
 
 let handle t name =
   locked t (fun () ->

@@ -10,7 +10,13 @@
     endpoint are views of one system: [incr t "cache.hit"] and a handle
     obtained directly from {!metrics} bump the same cells, and
     {!counters} reports every counter the registry holds. The event log
-    stays local to this value. *)
+    stays local to this value.
+
+    The event log is never trimmed: it grows by one entry per
+    {!record}. A value that nothing will export should be created with
+    [~events:false]. [spp solve], [spp batch] and [spp serve] keep events
+    only under [--stats-json], the one reader of the log, so a daemon
+    without it holds no per-solve state. *)
 
 type field = Spp_obs.Field.t =
   | String of string
@@ -28,14 +34,18 @@ type t
 
 (** [create ()] starts a log backed by a fresh registry; [metrics] backs
     it by a shared one instead (what [spp serve] does, so solver counters
-    land on the scrape endpoint). *)
-val create : ?metrics:Spp_obs.Metrics.t -> unit -> t
+    land on the scrape endpoint). With [~events:false] (default [true])
+    {!record} and {!time} keep nothing, so {!events} stays empty and
+    {!to_json_lines} prints only the counters; counters count as
+    before. *)
+val create : ?metrics:Spp_obs.Metrics.t -> ?events:bool -> unit -> t
 
 (** The backing registry — register richer instruments (histograms,
     gauges) next to the counters. *)
 val metrics : t -> Spp_obs.Metrics.t
 
-(** [record t ~name fields] appends an event stamped now. *)
+(** [record t ~name fields] appends an event stamped now, unless the log
+    was created with [~events:false]. *)
 val record : t -> name:string -> (string * field) list -> unit
 
 (** [incr ?by t counter] bumps a named counter ([by] defaults to 1). *)

@@ -2,11 +2,19 @@
 
     Maintains the upper contour of the packed region as a left-to-right list
     of horizontal segments over the strip [\[0, 1\]]. Used by the
-    bottom-left baseline packer in {!Spp_pack.Bottom_left} and by the
-    precedence-aware list scheduler in {!Spp_core.List_schedule}: both place
-    each rectangle at the lowest (then leftmost) supported position subject
-    to a per-rectangle lower bound on y (release time or predecessor
-    finish). Exact rational coordinates; O(segments) per operation. *)
+    bottom-left baseline packer in {!Spp_pack.Bottom_left}, by the
+    precedence-aware list scheduler in {!Spp_core.List_schedule} and by the
+    exact order search in {!Spp_exact.Order_search}.
+
+    One placement rule, in two number forms. A rectangle of width [w] goes
+    to the lowest position with [y >= y_min], then the leftmost. The
+    candidates are the left edges of the contour's segments; a window that
+    leaves the strip is replaced by the right-flush position [1 - w].
+    After each placement, adjacent segments of equal height are merged, so
+    a contour has exactly one segment list. {!place} does this on exact
+    rationals, O(segments) per candidate. {!Int} does the same on an
+    integer grid (the caller scales each axis to integers), for searches
+    that place millions of rectangles. *)
 
 type t
 
@@ -30,3 +38,40 @@ val height : t -> Spp_num.Rat.t
     data behind a mutable head). Used by branch-and-bound search. *)
 val copy : t -> t
 
+(** The placement rule above on integer coordinates, over the strip
+    [\[0, width)], as a stack of contours for depth-first search.
+
+    Level 0 is the empty contour. [place] reads level [d] and writes level
+    [d + 1], leaving level [d] as it was, so a search that backtracks to
+    level [d] just places from it again. Every level has a fixed row of
+    [2 * levels + 1] segment cells (one placement adds at most two
+    segments), so nothing is allocated after {!create}.
+
+    Scaled by the same factors, a sequence of placements gives the same
+    positions and the same contours as the rational {!place}; [test_geom]
+    checks this on random sequences. The caller keeps every coordinate
+    small enough not to overflow. *)
+module Int : sig
+  type t
+
+  (** [create ~width ~levels] has [levels + 1] levels, room for [levels]
+      placements on top of each other.
+      @raise Invalid_argument if [width < 1] or [levels < 0]. *)
+  val create : width:int -> levels:int -> t
+
+  (** [place t ~level ~w ~h ~y_min] places a [w] by [h] rectangle on the
+      contour of [level] by the rule above and writes the result to
+      [level + 1]. The chosen position is [(x t ~level, y t ~level)] until
+      the next [place] from [level].
+      @raise Invalid_argument unless [1 <= w <= width]. *)
+  val place : t -> level:int -> w:int -> h:int -> y_min:int -> unit
+
+  (** The position chosen by the last {!place} from [level]. *)
+  val x : t -> level:int -> int
+
+  val y : t -> level:int -> int
+
+  (** [segments t ~level] is that level's contour as [(x, width, y)]
+      triples, left to right. *)
+  val segments : t -> level:int -> (int * int * int) list
+end

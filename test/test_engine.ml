@@ -140,6 +140,19 @@ let test_telemetry_counters_events () =
   contains "\\\"";  (* the quote in "a\"b" is escaped *)
   ()
 
+let test_telemetry_events_off () =
+  let tm = Telemetry.create ~events:false () in
+  Telemetry.incr tm "x";
+  Telemetry.incr ~by:2 tm "x";
+  Telemetry.record tm ~name:"ev" [ ("n", Telemetry.Int 7) ];
+  Alcotest.(check int) "time returns" 42 (Telemetry.time tm ~name:"timed" ~fields:[] (fun () -> 42));
+  Alcotest.(check int) "no events kept" 0 (List.length (Telemetry.events tm));
+  Alcotest.(check int) "counters still count" 3 (Telemetry.counter tm "x");
+  let lines =
+    List.filter (( <> ) "") (String.split_on_char '\n' (Telemetry.to_json_lines tm))
+  in
+  Alcotest.(check (list string)) "only counter lines" [ "{\"counter\":\"x\",\"value\":3}" ] lines
+
 (* ------------------------------------------------------------------ *)
 (* Cancel *)
 
@@ -358,6 +371,27 @@ let test_engine_byte_path_retains_nothing () =
     (grown < 50_000);
   Alcotest.(check int) "every hit counted" 20_000 (Engine.cache_stats engine).Lru.hits
 
+(* The parse path records a [solve] event per request; an engine whose
+   log keeps no events must not grow with the number of requests. *)
+let test_engine_events_off_retains_nothing () =
+  let engine = Engine.create ~telemetry:(Telemetry.create ~events:false ()) () in
+  let parsed = Io.Prec (random_prec 41 10) in
+  ignore (Engine.solve engine parsed);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  for _ = 1 to 20_000 do
+    if (Engine.solve engine parsed).Engine.source <> Engine.Memory_cache then
+      Alcotest.fail "repeat missed the memory cache"
+  done;
+  let grown = live () - before in
+  Alcotest.(check bool) (Printf.sprintf "live words grew by %d, under 50 000" grown) true
+    (grown < 50_000);
+  Alcotest.(check int) "every hit counted" 20_000
+    (Telemetry.counter (Engine.telemetry engine) "cache.hit.memory")
+
 let () =
   Alcotest.run "spp_engine"
     [
@@ -374,7 +408,10 @@ let () =
           Alcotest.test_case "find_hit counts hits only" `Quick test_lru_find_hit;
         ] );
       ( "telemetry",
-        [ Alcotest.test_case "counters and events" `Quick test_telemetry_counters_events ] );
+        [
+          Alcotest.test_case "counters and events" `Quick test_telemetry_counters_events;
+          Alcotest.test_case "events off" `Quick test_telemetry_events_off;
+        ] );
       ( "cancel",
         [
           Alcotest.test_case "tokens" `Quick test_cancel_tokens;
@@ -398,5 +435,7 @@ let () =
           Alcotest.test_case "disk store" `Quick test_engine_disk_store;
           Alcotest.test_case "byte path retains nothing" `Quick
             test_engine_byte_path_retains_nothing;
+          Alcotest.test_case "events off retains nothing" `Quick
+            test_engine_events_off_retains_nothing;
         ] );
     ]

@@ -115,6 +115,106 @@ let test_order_search_guard () =
   Alcotest.check_raises "n > 10" (Invalid_argument "Order_search: instance too large (n > 10)")
     (fun () -> ignore (Order_search.best_prec inst))
 
+(* The kernel against the rational reference: the same height, placement
+   text, item order, node count and profile counts. *)
+let profiled f =
+  Spp_obs.Profile.reset ();
+  let out = f () in
+  (out, Spp_obs.Profile.read ())
+
+let same_as_reference name kernel reference =
+  let (o : Order_search.outcome), p = profiled kernel in
+  let (o' : Order_search.outcome), p' = profiled reference in
+  let text (o : Order_search.outcome) = Spp_core.Io.placement_to_string o.Order_search.placement in
+  Alcotest.(check string) (name ^ ": height") (Q.to_string o'.Order_search.height)
+    (Q.to_string o.Order_search.height);
+  Alcotest.(check string) (name ^ ": placement") (text o') (text o);
+  let order (o : Order_search.outcome) =
+    List.map (fun (it : Placement.item) -> it.Placement.rect.Rect.id)
+      (Placement.items o.Order_search.placement)
+  in
+  Alcotest.(check (list int)) (name ^ ": item order, newest first") (order o') (order o);
+  Alcotest.(check int) (name ^ ": nodes") o'.Order_search.nodes_expanded
+    o.Order_search.nodes_expanded;
+  Alcotest.(check int) (name ^ ": profile nodes") p'.Spp_obs.Profile.bb_nodes
+    p.Spp_obs.Profile.bb_nodes;
+  Alcotest.(check int) (name ^ ": profile pruned") p'.Spp_obs.Profile.bb_pruned
+    p.Spp_obs.Profile.bb_pruned;
+  o
+
+let same_prec ~kernel name inst =
+  Alcotest.(check bool) (name ^ ": kernel path") kernel (Order_search.on_kernel_prec inst);
+  same_as_reference name
+    (fun () -> Order_search.best_prec inst)
+    (fun () -> Order_search.Reference.best_prec inst)
+
+let test_kernel_empty () =
+  let check name (o : Order_search.outcome) =
+    Alcotest.(check string) (name ^ ": height 0") "0" (Q.to_string o.Order_search.height);
+    Alcotest.(check int) (name ^ ": one node") 1 o.Order_search.nodes_expanded
+  in
+  check "prec" (same_prec ~kernel:true "prec" (prec [] []));
+  let inst = I.Release.make ~k:1 [] in
+  Alcotest.(check bool) "release: kernel path" true (Order_search.on_kernel_release inst);
+  check "release"
+    (same_as_reference "release"
+       (fun () -> Order_search.best_release inst)
+       (fun () -> Order_search.Reference.best_release inst))
+
+let test_kernel_chain () =
+  let inst =
+    prec [ rect 0 1 3 1 2; rect 1 2 3 1 4; rect 2 1 2 3 4; rect 3 1 6 1 1 ] [ (0, 1); (1, 2); (2, 3) ]
+  in
+  let o = same_prec ~kernel:true "chain" inst in
+  Alcotest.(check string) "heights add up" "5/2" (Q.to_string o.Order_search.height)
+
+let test_kernel_full_width () =
+  let inst = prec [ rect 0 1 2 1 2; rect 1 1 1 1 3; rect 2 1 2 2 3; rect 3 1 4 1 1 ] [ (0, 2) ] in
+  ignore (same_prec ~kernel:true "width 1" inst)
+
+let test_kernel_fallback () =
+  (* Heights 1/p for three primes near 2^40: the y scale is their product,
+     about 2^120, so the search runs on rationals. *)
+  let h p = Q.make Spp_num.Bigint.one (Spp_num.Bigint.of_int p) in
+  let r id wn wd p = Rect.make ~id ~w:(q wn wd) ~h:(h p) in
+  let inst =
+    prec
+      [ r 0 1 2 1_099_511_627_791; r 1 1 3 1_099_511_627_803; r 2 1 2 1_099_511_627_831;
+        r 3 1 4 1_099_511_627_791 ]
+      [ (0, 3) ]
+  in
+  ignore (same_prec ~kernel:false "heights 1/p" inst)
+
+let test_kernel_cancel_mid_search () =
+  (* About two million nodes. Another domain trips the token once the
+     search has polled it 1000 times; the kernel must stop there with
+     [Cancelled] and still report the nodes it expanded. *)
+  let widths = [ 2; 9; 7; 6; 4; 3; 10; 8; 7; 5 ] in
+  let inst = prec (List.mapi (fun i wn -> rect i wn 17 ((i mod 4) + 1) 3) widths) [] in
+  Alcotest.(check bool) "kernel path" true (Order_search.on_kernel_prec inst);
+  let t = Spp_util.Cancel.create () in
+  let stop = Atomic.make false in
+  let trip =
+    Domain.spawn (fun () ->
+        while (not (Atomic.get stop)) && Spp_util.Cancel.polls t < 1000 do
+          Domain.cpu_relax ()
+        done;
+        Spp_util.Cancel.cancel t)
+  in
+  Spp_obs.Profile.reset ();
+  let result =
+    match Order_search.best_prec ~cancel:t inst with
+    | _ -> "finished"
+    | exception Spp_util.Cancel.Cancelled -> "cancelled"
+  in
+  Atomic.set stop true;
+  Domain.join trip;
+  Alcotest.(check string) "stopped by the token" "cancelled" result;
+  let polls = Spp_util.Cancel.polls t in
+  Alcotest.(check bool) (Printf.sprintf "mid-search (%d polls)" polls) true (polls > 1000);
+  Alcotest.(check int) "every node but the cancelled one reported" (polls - 1)
+    (Spp_obs.Profile.read ()).Spp_obs.Profile.bb_nodes
+
 let small_prec_gen =
   QCheck.make
     ~print:(fun (inst : I.Prec.t) -> Printf.sprintf "n=%d" (I.Prec.size inst))
@@ -318,6 +418,11 @@ let () =
         Alcotest.test_case "simple" `Quick test_order_search_simple
         :: Alcotest.test_case "chain" `Quick test_order_search_chain
         :: Alcotest.test_case "size guard" `Quick test_order_search_guard
+        :: Alcotest.test_case "kernel: empty instances" `Quick test_kernel_empty
+        :: Alcotest.test_case "kernel: chain" `Quick test_kernel_chain
+        :: Alcotest.test_case "kernel: width-1 rectangle" `Quick test_kernel_full_width
+        :: Alcotest.test_case "kernel: falls back past 2^60" `Quick test_kernel_fallback
+        :: Alcotest.test_case "kernel: cancelled mid-search" `Quick test_kernel_cancel_mid_search
         :: qt
              [
                prop_order_search_dominates_heuristics;

@@ -241,6 +241,57 @@ let prop_skyline_packs_validly =
       in
       Placement.is_valid (Placement.of_items items))
 
+(* Property: the integer contour places like the rational one. Widths are
+   multiples of 1/d, heights and floors multiples of 1/e, so x scaled by d
+   and y by e are integers. A sequence is placed level by level, then a
+   second one branches off at a random level of the first, as the order
+   search does when it backtracks; after every placement the positions
+   and the contours must agree. *)
+let prop_skyline_int_matches_rational =
+  let spec = QCheck.(triple small_nat small_nat small_nat) in
+  QCheck.Test.make ~name:"integer skyline places like the rational one" ~count:500
+    QCheck.(
+      pair
+        (pair (int_range 1 16) (int_range 1 8))
+        (triple (list_of_size Gen.(int_range 1 10) spec) small_nat
+           (list_of_size Gen.(int_range 0 10) spec)))
+    (fun ((d, e), (first, branch, second)) ->
+      let levels = 10 in
+      let isky = Skyline.Int.create ~width:d ~levels in
+      let dims (a, b, c) =
+        (1 + (a mod d), 1 + (b mod (3 * e)), if c mod 2 = 0 then 0 else c mod (4 * e))
+      in
+      let same sky level (w, h, y_min) =
+        let p = Skyline.place sky ~w:(q w d) ~h:(q h e) ~y_min:(q y_min e) in
+        Skyline.Int.place isky ~level ~w ~h ~y_min;
+        let scaled = Skyline.Int.segments isky ~level:(level + 1) in
+        let segs = Skyline.segments sky in
+        Q.equal p.Placement.x (q (Skyline.Int.x isky ~level) d)
+        && Q.equal p.Placement.y (q (Skyline.Int.y isky ~level) e)
+        && List.length scaled = List.length segs
+        && List.for_all2
+             (fun (x, w, y) (x', w', y') ->
+               Q.equal (q x d) x' && Q.equal (q w d) w' && Q.equal (q y e) y')
+             scaled segs
+      in
+      let sky = Skyline.create () in
+      let snapshots = Array.make (levels + 1) (Skyline.copy sky) in
+      let first_ok =
+        List.for_all Fun.id
+          (List.mapi
+             (fun level s ->
+               let ok = same sky level (dims s) in
+               snapshots.(level + 1) <- Skyline.copy sky;
+               ok)
+             first)
+      in
+      let j = branch mod (List.length first + 1) in
+      let sky = snapshots.(j) in
+      first_ok
+      && List.for_all Fun.id
+           (List.mapi (fun k s -> same sky (j + k) (dims s))
+              (List.filteri (fun k _ -> j + k < levels) second)))
+
 (* ------------------------------------------------------------------ *)
 (* Render *)
 
@@ -315,7 +366,7 @@ let () =
         :: Alcotest.test_case "y_min floor" `Quick test_skyline_y_min
         :: Alcotest.test_case "copy independence" `Quick test_skyline_copy_independent
         :: Alcotest.test_case "segments invariant" `Quick test_skyline_segments_invariant
-        :: qt [ prop_skyline_packs_validly ] );
+        :: qt [ prop_skyline_packs_validly; prop_skyline_int_matches_rational ] );
       ( "render",
         [
           Alcotest.test_case "empty" `Quick test_render_empty;

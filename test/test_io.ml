@@ -245,6 +245,29 @@ let test_cli_parse_error_hint () =
       Alcotest.(check bool) "names the offending line" true (contains_substring text "line 1");
       Alcotest.(check bool) "carries a hint" true (contains_substring text "hint:"))
 
+(* [--stats-json] is the one reader of the engine's event log, which the
+   CLI keeps only when the flag is given: the file must still hold one
+   [solver] event per raced member, one [solve] summary, then the
+   counters. *)
+let test_cli_stats_json () =
+  let stats = Filename.temp_file "spp_stats" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove stats with Sys_error _ -> ())
+    (fun () ->
+      Alcotest.(check int) "solve exits 0" 0
+        (run_cli
+           (Printf.sprintf "solve --no-cache --algos dc,ls --stats-json %s ../data/jpeg4.spp"
+              (Filename.quote stats)));
+      let lines = In_channel.with_open_text stats In_channel.input_lines in
+      let count prefix = List.length (List.filter (String.starts_with ~prefix) lines) in
+      Alcotest.(check int) "one solver event per raced member" 2
+        (count "{\"event\":\"solver\"");
+      Alcotest.(check int) "one solve summary" 1 (count "{\"event\":\"solve\"");
+      Alcotest.(check bool) "the miss is counted" true
+        (List.mem "{\"counter\":\"cache.miss\",\"value\":1}" lines);
+      Alcotest.(check int) "nothing else" (List.length lines)
+        (count "{\"event\":\"solver\"" + count "{\"event\":\"solve\"" + count "{\"counter\""))
+
 (* Library-level contract behind the CLI classification. *)
 let test_error_exceptions () =
   (match Io.parse_string "rect 0 x 1\n" with
@@ -274,6 +297,7 @@ let () =
           Alcotest.test_case "parse error hint" `Quick test_cli_parse_error_hint;
           Alcotest.test_case "library exceptions" `Quick test_error_exceptions;
         ] );
+      ("cli", [ Alcotest.test_case "stats json" `Quick test_cli_stats_json ]);
       ( "roundtrip",
         Alcotest.test_case "prec" `Quick test_prec_roundtrip
         :: Alcotest.test_case "release" `Quick test_release_roundtrip
