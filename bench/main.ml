@@ -1,6 +1,6 @@
 (* Experiment harness: regenerates every figure/theorem-level claim of the
    paper as a printed table (E1..E12 of DESIGN.md / EXPERIMENTS.md), plus
-   Bechamel timing benches (T1..T7).
+   Bechamel timing benches (T1..T9).
 
    Each experiment also writes its tables as BENCH_e<N>.json next to the
    working directory, so tooling reads metric values without scraping text.
@@ -672,7 +672,7 @@ let e13 () =
 (* Timing benches (Bechamel). *)
 
 let timing () =
-  section "T1-T8  Timing (Bechamel; ns per run, linear-regression estimate)";
+  section "T1-T9  Timing (Bechamel; ns per run, linear-regression estimate)";
   let open Bechamel in
   let open Toolkit in
   let rng = Prng.create 99 in
@@ -689,6 +689,36 @@ let timing () =
         (Grouping.round_releases ~epsilon_r:(Q.of_ints 1 3) rinst)
     in
     p_rw
+  in
+  let sparse_lp =
+    (* A seeded sparse LP the size of an offline_batch master: 30 packing
+       rows (<=) and 30 covering rows (>=) over 100 variables with 2-4
+       nonzeros each, so the tableau has 100 + 60 slack/surplus + 30
+       artificial = 190 columns over 60 rows. Costs are positive and
+       x = 1 satisfies every row. Its 59 pivots average 18 nonzeros in
+       the pivot row and 7.4 other rows to eliminate; the masters of an
+       offline_batch run average 21 and 8.9. *)
+    let module M = Spp_lp.Model in
+    let lp_rng = Prng.create 19 in
+    let m = M.create () in
+    let rows = Array.make 60 [] in
+    for j = 0 to 99 do
+      let v = M.add_var m ~name:(Printf.sprintf "x%d" j) in
+      for _ = 1 to Prng.int_in lp_rng 2 4 do
+        let i = Prng.int lp_rng 60 in
+        rows.(i) <- (v, Prng.int_in lp_rng 1 5) :: rows.(i)
+      done
+    done;
+    M.set_objective m (List.init 100 (fun v -> (v, Q.of_int (Prng.int_in lp_rng 1 9))));
+    Array.iteri
+      (fun i terms ->
+        let at_one = List.fold_left (fun acc (_, a) -> acc + a) 0 terms in
+        let terms = List.map (fun (v, a) -> (v, Q.of_int a)) terms in
+        if i < 30 then
+          M.add_constraint m ~name:"pack" terms M.Le (Q.of_int (at_one + Prng.int_in lp_rng 0 4))
+        else M.add_constraint m ~name:"cover" terms M.Ge (Q.of_int (at_one / 2)))
+      rows;
+    m
   in
   let tests =
     [
@@ -711,6 +741,10 @@ let timing () =
         (Staged.stage (fun () -> ignore (Spp_exact.Order_search.best_release rinst8)));
       Test.make ~name:"T8r order search reference"
         (Staged.stage (fun () -> ignore (Spp_exact.Order_search.Reference.best_release rinst8)));
+      Test.make ~name:"T9 exact simplex"
+        (Staged.stage (fun () -> ignore (Spp_lp.Simplex.Exact.solve sparse_lp)));
+      Test.make ~name:"T9r simplex reference"
+        (Staged.stage (fun () -> ignore (Spp_lp.Simplex.Reference.solve sparse_lp)));
     ]
   in
   let benchmark test =

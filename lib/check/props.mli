@@ -28,7 +28,10 @@
     does, never serves a degraded answer, and counts one LRU hit or miss
     per request; the integer order-search kernel ([diff.order], tag
     [kernel]) returns what {!Spp_exact.Order_search.Reference} returns,
-    node for node, on the kernel and on its fallback.
+    node for node, on the kernel and on its fallback; the exact simplex
+    ([diff.simplex], tag [lp]) returns what the dense
+    {!Spp_lp.Simplex.Reference} returns, pivot for pivot, on a seeded
+    LP and on warm-started masters taking the same appended columns.
 
     {b Simulation} ([sound.sim.*], [sim.*]) — online runs through
     {!Spp_sim.Sim} pass the independent segment validator at every

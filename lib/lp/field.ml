@@ -23,6 +23,9 @@ module type S = sig
       [compare x zero = 0] means "treat as zero when pivoting". *)
   val compare : t -> t -> int
 
+  (** Whether an entry counts as zero. The simplex skips exactly these
+      entries when it updates its tableau, so for an exact field it must
+      mean equal to zero. *)
   val is_zero : t -> bool
   val of_int : int -> t
   val of_rat : Spp_num.Rat.t -> t
@@ -38,7 +41,10 @@ module Rat : S with type t = Spp_num.Rat.t = struct
 end
 
 (** IEEE doubles with an absolute pivot tolerance. Fine for well-scaled
-    small LPs; never used where exactness matters. *)
+    small LPs; never used where exactness matters. [is_zero] is that
+    tolerance too, and it also decides which tableau entries an update
+    skips (see {!Simplex}): an entry within [eps] of zero is left as it
+    is, so results may differ from a dense update below [eps]. *)
 module Float : S with type t = float = struct
   type t = float
 

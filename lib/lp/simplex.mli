@@ -1,12 +1,12 @@
 (** Two-phase primal simplex over an abstract scalar field.
 
-    Dense-tableau implementation. Pricing uses Dantzig's rule (fast in
-    practice) with a permanent-until-progress fallback to Bland's rule after
-    a run of degenerate pivots, so termination is guaranteed for the exact
-    field. Solving a model returns a {e basic} optimal solution — the
-    property the paper's Lemma 3.3 relies on to bound the number of
-    configuration occurrences by the number of constraints, which in turn
-    drives the additive loss of Lemma 3.4.
+    Pricing uses Dantzig's rule (fast in practice) with a
+    permanent-until-progress fallback to Bland's rule after a run of
+    degenerate pivots, so termination is guaranteed for the exact field.
+    Solving a model returns a {e basic} optimal solution — the property
+    the paper's Lemma 3.3 relies on to bound the number of configuration
+    occurrences by the number of constraints, which in turn drives the
+    additive loss of Lemma 3.4.
 
     Not polynomial time in the worst case (the paper cites ellipsoid /
     Karmarkar for that); DESIGN.md documents this substitution — instance
@@ -18,7 +18,27 @@
     columns are appended as [B{^-1}a] (assembled from the identity columns
     dual recovery already tracks), and reoptimisation continues primal
     simplex from the current basis — collapsing per-round pivot counts
-    compared to re-solving every restricted LP from scratch. *)
+    compared to re-solving every restricted LP from scratch.
+
+    {2 The tableau, on its nonzeros}
+
+    The tableau is stored densely but updated only where it is nonzero:
+    a pivot divides and eliminates over the pivot row's support alone,
+    and building a reduced-cost row or assembling [B{^-1}a] skips every
+    zero entry. An entry is skipped exactly when [F.is_zero] holds, where
+    the dense update would compute [x - f·0] or [0/p]. For {!Field.Rat}
+    that is an identity (zero has the one form 0/1), so {!Exact} computes
+    the dense tableau entry for entry: the same Dantzig and Bland choices,
+    the same dropped rows, duals and pivot counts. For {!Field.Float} the
+    skip uses the pivot tolerance, so results may differ below it.
+
+    Rows keep spare capacity: an appended column is written into slot
+    [cols] of each row and the rhs moves up one slot, and only a row
+    that is full is copied, into an array twice its size.
+
+    {!Reference} keeps the dense tableau this replaced, over exact
+    rationals: the oracle for the tests, the [diff.simplex] fuzz
+    property and bench row T9r, and on no production path. *)
 
 type 'a result =
   | Optimal of { objective : 'a; solution : 'a array; duals : 'a array }
@@ -82,29 +102,43 @@ module Make (F : Field.S) : sig
   end
 end
 
+(** {!Make.Restricted} over exact rationals: the master {!Exact} and
+    {!Reference} both expose. *)
+module type RESTRICTED = sig
+  type t
+
+  val create :
+    ?max_iters:int -> Model.t -> [ `Optimal of t | `Infeasible | `Unbounded ]
+
+  val objective : t -> Spp_num.Rat.t
+  val solution : t -> Spp_num.Rat.t array
+  val duals : t -> Spp_num.Rat.t array
+  val num_appended : t -> int
+
+  val add_column :
+    t -> obj:Spp_num.Rat.t -> entries:(int * Spp_num.Rat.t) list -> [ `Added | `Needs_rebuild ]
+
+  val reoptimize : t -> [ `Optimal | `Unbounded ]
+end
+
 (** Exact solver over rationals. *)
 module Exact : sig
   val solve : Model.t -> Spp_num.Rat.t result
 
-  module Restricted : sig
-    type t
-
-    val create :
-      ?max_iters:int -> Model.t -> [ `Optimal of t | `Infeasible | `Unbounded ]
-
-    val objective : t -> Spp_num.Rat.t
-    val solution : t -> Spp_num.Rat.t array
-    val duals : t -> Spp_num.Rat.t array
-    val num_appended : t -> int
-
-    val add_column :
-      t -> obj:Spp_num.Rat.t -> entries:(int * Spp_num.Rat.t) list -> [ `Added | `Needs_rebuild ]
-
-    val reoptimize : t -> [ `Optimal | `Unbounded ]
-  end
+  module Restricted : RESTRICTED
 end
 
 (** Floating-point solver (tolerance-based pivoting). *)
 module Approx : sig
   val solve : Model.t -> float result
+end
+
+(** The dense tableau {!Make} replaced, applied to {!Field.Rat}: every
+    update runs over all [cols + 1] slots and every append copies every
+    row. It returns what {!Exact} returns, pivot for pivot; it is the
+    oracle, never a production path. *)
+module Reference : sig
+  val solve : Model.t -> Spp_num.Rat.t result
+
+  module Restricted : RESTRICTED
 end

@@ -12,8 +12,35 @@ let qi = Q.of_int
 let check_q msg expected actual =
   Alcotest.(check string) msg (Q.to_string expected) (Q.to_string actual)
 
+let vec a = String.concat " " (Array.to_list (Array.map Q.to_string a))
+
+(* The pivots a call reports to the profile, next to its result. *)
+let with_pivots f =
+  Spp_obs.Profile.reset ();
+  let out = f () in
+  (out, (Spp_obs.Profile.read ()).Spp_obs.Profile.pivots)
+
+let optimum objective solution duals =
+  Printf.sprintf "objective %s, solution [%s], duals [%s]" (Q.to_string objective) (vec solution)
+    (vec duals)
+
+let describe (r, pivots) =
+  match r with
+  | Simplex.Optimal { objective; solution; duals } ->
+    Printf.sprintf "optimal, %d pivots, %s" pivots (optimum objective solution duals)
+  | Simplex.Infeasible -> Printf.sprintf "infeasible, %d pivots" pivots
+  | Simplex.Unbounded -> Printf.sprintf "unbounded, %d pivots" pivots
+
+(* [Exact.solve], checked against the dense [Reference]: the same verdict,
+   objective, solution, duals and pivot count. *)
+let solve_checked m =
+  let fast = with_pivots (fun () -> Simplex.Exact.solve m) in
+  let slow = with_pivots (fun () -> Simplex.Reference.solve m) in
+  Alcotest.(check string) "same as Reference" (describe slow) (describe fast);
+  fst fast
+
 let solve_exact m =
-  match Simplex.Exact.solve m with
+  match solve_checked m with
   | Simplex.Optimal { objective; solution; _ } -> (objective, solution)
   | Simplex.Infeasible -> Alcotest.fail "unexpected infeasible"
   | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
@@ -93,7 +120,7 @@ let test_simplex_infeasible () =
   Model.set_objective m [ (x, qi 1) ];
   Model.add_constraint m ~name:"hi" [ (x, qi 1) ] Model.Ge (qi 5);
   Model.add_constraint m ~name:"lo" [ (x, qi 1) ] Model.Le (qi 2);
-  (match Simplex.Exact.solve m with
+  (match solve_checked m with
    | Simplex.Infeasible -> ()
    | _ -> Alcotest.fail "expected infeasible")
 
@@ -103,7 +130,7 @@ let test_simplex_unbounded () =
   let y = Model.add_var m ~name:"y" in
   Model.set_objective m [ (x, qi (-1)) ];
   Model.add_constraint m ~name:"c" [ (x, qi 1); (y, qi (-1)) ] Model.Le (qi 1);
-  (match Simplex.Exact.solve m with
+  (match solve_checked m with
    | Simplex.Unbounded -> ()
    | _ -> Alcotest.fail "expected unbounded")
 
@@ -233,6 +260,97 @@ let prop_strong_duality =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Restricted masters against the dense Reference *)
+
+(* min x + 2y s.t. x + y = 2, 2x + 2y = 4: phase 1 drops the second row,
+   so neither master may take a column. *)
+let test_restricted_dropped_row () =
+  let m = Model.create () in
+  let x = Model.add_var m ~name:"x" in
+  let y = Model.add_var m ~name:"y" in
+  Model.set_objective m [ (x, qi 1); (y, qi 2) ];
+  Model.add_constraint m ~name:"e1" [ (x, qi 1); (y, qi 1) ] Model.Eq (qi 2);
+  Model.add_constraint m ~name:"e2" [ (x, qi 2); (y, qi 2) ] Model.Eq (qi 4);
+  let append (module R : Simplex.RESTRICTED) =
+    match R.create m with
+    | `Optimal rm -> (
+      match R.add_column rm ~obj:Q.one ~entries:[ (0, qi 1); (1, qi 3) ] with
+      | `Added -> "added"
+      | `Needs_rebuild -> "needs rebuild")
+    | `Infeasible | `Unbounded -> "no master"
+  in
+  Alcotest.(check string) "exact" "needs rebuild" (append (module Simplex.Exact.Restricted));
+  Alcotest.(check string) "reference" "needs rebuild" (append (module Simplex.Reference.Restricted))
+
+(* A covering LP shaped like a configuration LP: min sum c_j x_j s.t.
+   sum_j a_ij x_j >= b_i over 4 rows. Each column is (cost, entries). *)
+let covering_rows = 4
+
+let covering_model columns =
+  let m = Model.create () in
+  let vars = List.mapi (fun j _ -> Model.add_var m ~name:(Printf.sprintf "x%d" j)) columns in
+  Model.set_objective m (List.map2 (fun v (c, _) -> (v, c)) vars columns);
+  for i = 0 to covering_rows - 1 do
+    Model.add_constraint m ~name:(Printf.sprintf "r%d" i)
+      (List.concat_map
+         (fun (v, (_, entries)) ->
+           match List.assoc_opt i entries with Some a -> [ (v, a) ] | None -> [])
+         (List.combine vars columns))
+      Model.Ge (qi (3 + i))
+  done;
+  m
+
+(* The master's optimum after create and after each append + reoptimize,
+   and its final optimum. *)
+let master_steps (module R : Simplex.RESTRICTED) start appended =
+  let state rm = optimum (R.objective rm) (R.solution rm) (R.duals rm) in
+  match with_pivots (fun () -> R.create (covering_model start)) with
+  | (`Infeasible | `Unbounded), _ -> Alcotest.fail "covering master has no optimum"
+  | `Optimal rm, p ->
+    let created = Printf.sprintf "create: %d pivots, %s" p (state rm) in
+    let steps =
+      List.mapi
+        (fun k (obj, entries) ->
+          match R.add_column rm ~obj ~entries with
+          | `Needs_rebuild -> Alcotest.fail "covering master dropped a row"
+          | `Added ->
+            (match with_pivots (fun () -> R.reoptimize rm) with
+             | `Unbounded, _ -> Alcotest.fail "covering master unbounded"
+             | `Optimal, p -> Printf.sprintf "append %d: %d pivots, %s" (k + 1) p (state rm)))
+        appended
+    in
+    (created :: steps, state rm)
+
+(* 3 starting columns give a tableau of 3 + 4 surplus + 4 artificial = 11
+   columns, capacity 12; 70 appends grow it to 81 columns, through
+   capacities 24, 48 and 96. *)
+let test_restricted_many_appends () =
+  let rng = Spp_util.Prng.create 7 in
+  let entry () =
+    let a = Spp_util.Prng.int rng 4 in
+    if a = 0 then None else Some (q a (Spp_util.Prng.int_in rng 1 2))
+  in
+  let column () =
+    ( q (Spp_util.Prng.int_in rng 2 40) (Spp_util.Prng.int_in rng 1 7),
+      List.filter_map
+        (fun i -> Option.map (fun a -> (i, a)) (entry ()))
+        (List.init covering_rows Fun.id) )
+  in
+  let start =
+    [ (qi 20, List.init covering_rows (fun i -> (i, qi 1))); (qi 9, [ (0, qi 2); (2, qi 1) ]);
+      (qi 9, [ (1, qi 1); (3, qi 2) ]) ]
+  in
+  let appended = List.init 70 (fun _ -> column ()) in
+  let fast, final = master_steps (module Simplex.Exact.Restricted) start appended in
+  let slow, _ = master_steps (module Simplex.Reference.Restricted) start appended in
+  Alcotest.(check (list string)) "every step as Reference" slow fast;
+  (* The warm master ends where a cold solve of the whole model does. *)
+  match Simplex.Exact.solve (covering_model (start @ appended)) with
+  | Simplex.Optimal { objective; solution; duals } ->
+    Alcotest.(check string) "cold solve of the full model" (optimum objective solution duals) final
+  | Simplex.Infeasible | Simplex.Unbounded -> Alcotest.fail "full covering model has no optimum"
+
+(* ------------------------------------------------------------------ *)
 (* Structural properties on random LPs *)
 
 (* Random LPs constructed to be feasible by design: constraints are
@@ -324,6 +442,11 @@ let () =
           Alcotest.test_case "Beale anti-cycling" `Quick test_simplex_beale_cycling;
           Alcotest.test_case "zero objective" `Quick test_simplex_zero_objective;
           Alcotest.test_case "duals (textbook)" `Quick test_simplex_duals_textbook;
+        ] );
+      ( "restricted",
+        [
+          Alcotest.test_case "dropped row needs rebuild" `Quick test_restricted_dropped_row;
+          Alcotest.test_case "70 appends equal Reference" `Quick test_restricted_many_appends;
         ] );
       ( "simplex-props",
         qt [ prop_optimum_feasible_and_basic; prop_exact_matches_float;
