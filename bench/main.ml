@@ -1,6 +1,6 @@
 (* Experiment harness: regenerates every figure/theorem-level claim of the
    paper as a printed table (E1..E12 of DESIGN.md / EXPERIMENTS.md), plus
-   Bechamel timing benches (T1..T9).
+   Bechamel timing benches (T1..T11).
 
    Each experiment also writes its tables as BENCH_e<N>.json next to the
    working directory, so tooling reads metric values without scraping text.
@@ -672,7 +672,7 @@ let e13 () =
 (* Timing benches (Bechamel). *)
 
 let timing () =
-  section "T1-T9  Timing (Bechamel; ns per run, linear-regression estimate)";
+  section "T1-T11  Timing (Bechamel; ns per run, linear-regression estimate)";
   let open Bechamel in
   let open Toolkit in
   let rng = Prng.create 99 in
@@ -682,6 +682,9 @@ let timing () =
   let rinst = Generators.random_release rng ~n:12 ~k:2 ~h_den:4 ~r_den:2 ~load:1.3 in
   let rinst8 = Generators.random_release rng ~n:8 ~k:2 ~h_den:4 ~r_den:2 ~load:1.3 in
   let packed = Spp_pack.Level.nfdh rects1000 in
+  (* The offline_batch sizes: DC at n = 1024, F at n = 512 (uniform). *)
+  let inst1024 = Generators.random_prec rng ~n:1024 ~k:8 ~h_den:4 ~shape:`Layered in
+  let uinst512 = Generators.random_uniform_prec rng ~n:512 ~k:8 ~shape:`Layered in
   let lp_model =
     (* A medium LP: the APTAS configuration LP for rinst after reduction. *)
     let p_rw =
@@ -745,6 +748,13 @@ let timing () =
         (Staged.stage (fun () -> ignore (Spp_lp.Simplex.Exact.solve sparse_lp)));
       Test.make ~name:"T9r simplex reference"
         (Staged.stage (fun () -> ignore (Spp_lp.Simplex.Reference.solve sparse_lp)));
+      Test.make ~name:"T10 DC n=1024" (Staged.stage (fun () -> ignore (Dc.pack inst1024)));
+      Test.make ~name:"T10r DC reference"
+        (Staged.stage (fun () -> ignore (Dc.Reference.pack inst1024)));
+      Test.make ~name:"T11 algorithm-F n=512"
+        (Staged.stage (fun () -> ignore (Uniform.next_fit_shelf uinst512)));
+      Test.make ~name:"T11r algorithm-F reference"
+        (Staged.stage (fun () -> ignore (Uniform.Reference.next_fit_shelf uinst512)));
     ]
   in
   let benchmark test =

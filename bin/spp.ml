@@ -140,6 +140,13 @@ let pack_cmd =
   in
   let run file alg render_flag svg_path =
     let inst = require_prec file in
+    (match alg with
+     | `F | `Pff | `Wave
+       when inst.rects <> [] && Spp_core.Uniform.uniform_height inst = None ->
+       let name = fst (List.find (fun (_, a) -> a = alg) alg_enum) in
+       Printf.eprintf "error: --alg %s needs rectangles of one height; %s has several\n" name file;
+       exit 64
+     | _ -> ());
     let p =
       match alg with
       | `Dc -> fst (Spp_core.Dc.pack inst)

@@ -924,6 +924,109 @@ let diff_simplex =
       end)
 
 (* ------------------------------------------------------------------ *)
+(* Differential: DC and algorithm F on index arrays vs their references *)
+
+(* [inst] with its ids renamed to negative, non-contiguous values whose
+   order is unrelated to the input order (the i-th rectangle gets
+   -(1 + 3·(7919·i mod 65521)), injective below 65521 rectangles). *)
+let scatter_ids (inst : I.Prec.t) =
+  let ids = Hashtbl.create 64 in
+  List.iteri
+    (fun i (r : Rect.t) -> Hashtbl.replace ids r.Rect.id (-(1 + (3 * (7919 * i mod 65521)))))
+    inst.I.Prec.rects;
+  let id = Hashtbl.find ids in
+  let rects =
+    List.map (fun (r : Rect.t) -> Rect.make ~id:(id r.Rect.id) ~w:r.Rect.w ~h:r.Rect.h) inst.I.Prec.rects
+  in
+  I.Prec.make rects
+    (Dag.of_edges
+       ~nodes:(List.map (fun (r : Rect.t) -> r.Rect.id) rects)
+       ~edges:(List.map (fun (u, v) -> (id u, id v)) (Dag.edges inst.I.Prec.dag)))
+
+(* The case's own precedence instance, if any, and one larger instance
+   from its stream seed: n in 64..512, a layered or series-parallel DAG,
+   uniform heights when [uniform], ids scattered. *)
+let index_cases ~uniform parsed =
+  let rng = Spp_util.Prng.create (stream_seed_of parsed) in
+  let n = Spp_util.Prng.int_in rng 64 512 in
+  let shape = if Spp_util.Prng.bool rng then `Layered else `Series_parallel in
+  let module G = Spp_workloads.Generators in
+  let drawn =
+    if uniform then G.random_uniform_prec rng ~n ~k:8 ~shape
+    else G.random_prec rng ~n ~k:8 ~h_den:4 ~shape
+  in
+  let label =
+    Printf.sprintf "drawn n = %d %s" n
+      (match shape with `Layered -> "layered" | `Series_parallel -> "series-parallel")
+  in
+  (match parsed with Io.Prec inst -> [ ("as generated", inst) ] | Io.Release _ -> [])
+  @ [ (label, scatter_ids drawn) ]
+
+let item_text (it : Placement.item) =
+  Printf.sprintf "%d %s %s at (%s, %s)" it.Placement.rect.Rect.id (qs it.Placement.rect.Rect.w)
+    (qs it.Placement.rect.Rect.h) (qs it.Placement.pos.Placement.x) (qs it.Placement.pos.Placement.y)
+
+(* The items, in order, and the stats of a packing and its reference's agree. *)
+let same_packing pp_stats label (p, s) (p', s') =
+  let items = List.map item_text (Placement.items p)
+  and items' = List.map item_text (Placement.items p') in
+  [ ( items = items',
+      fun () ->
+        Printf.sprintf "%s: %d items, reference %d; first difference %s" label
+          (List.length items) (List.length items') (first_difference Fun.id items items') );
+    (s = s', fun () -> Printf.sprintf "%s: stats %s, reference %s" label (pp_stats s) (pp_stats s'))
+  ]
+
+(* NFDH sorts its band, so it cannot see the order DC hands the band
+   over in; bottom-left in the given order does. *)
+let dc_subroutines =
+  [ ("nfdh", Spp_pack.Level.nfdh); ("bottom-left in band order", Spp_pack.Bottom_left.pack ~order:Fun.id) ]
+
+let diff_dc =
+  prop "diff.dc"
+    "Dc.pack (one array view, recursion over index subsets) returns exactly what \
+     Dc.Reference.pack (induced sub-instances, shift and union) returns: every item in order \
+     and the stats, with NFDH and with bottom-left in band order as the subroutine, on the case \
+     and on a layered or series-parallel instance with n in 64..512 and negative, \
+     non-contiguous ids drawn from its stream seed"
+    [ "prec"; "dc"; "index" ]
+    (fun parsed ->
+      let pp (s : Spp_core.Dc.stats) =
+        Printf.sprintf "%d levels, %d mid calls" s.Spp_core.Dc.levels s.Spp_core.Dc.mid_calls
+      in
+      all_pass
+        (List.concat_map
+           (fun (label, inst) ->
+             List.concat_map
+               (fun (name, subroutine) ->
+                 same_packing pp (label ^ ", " ^ name)
+                   (Spp_core.Dc.pack ~subroutine inst)
+                   (Spp_core.Dc.Reference.pack ~subroutine inst))
+               dc_subroutines)
+           (index_cases ~uniform:false parsed)))
+
+let diff_f =
+  prop "diff.f"
+    "Uniform.next_fit_shelf (counts of unclosed predecessors) returns exactly what \
+     Uniform.Reference.next_fit_shelf (a rescan on every closed shelf) returns: every item in \
+     order and the stats, on a uniform-height case and on a uniform layered or series-parallel \
+     instance with n in 64..512 and negative, non-contiguous ids drawn from its stream seed"
+    [ "prec"; "f"; "index" ]
+    (fun parsed ->
+      let pp (s : Spp_core.Uniform.shelf_stats) =
+        Printf.sprintf "%d shelves, %d skips" s.Spp_core.Uniform.shelves s.Spp_core.Uniform.skips
+      in
+      all_pass
+        (List.concat_map
+           (fun (label, inst) ->
+             match Spp_core.Uniform.uniform_height inst with
+             | None -> []
+             | Some _ ->
+               same_packing pp label (Spp_core.Uniform.next_fit_shelf inst)
+                 (Spp_core.Uniform.Reference.next_fit_shelf inst))
+           (index_cases ~uniform:true parsed)))
+
+(* ------------------------------------------------------------------ *)
 (* Engine / store round trip *)
 
 let tmp_counter = ref 0
@@ -1170,7 +1273,7 @@ let all =
     diff_engine; sound_engine_degraded;
     meta_relabel; meta_edge_drop; meta_release_slacken;
     sound_sim_ff; sound_sim_buffered; sound_sim_repack; sim_stream;
-    diff_validate; diff_sim_check; diff_hitpath; diff_order; diff_simplex;
+    diff_validate; diff_sim_check; diff_hitpath; diff_order; diff_simplex; diff_dc; diff_f;
   ]
 
 let select ?algos ~variant () =

@@ -31,7 +31,12 @@
     node for node, on the kernel and on its fallback; the exact simplex
     ([diff.simplex], tag [lp]) returns what the dense
     {!Spp_lp.Simplex.Reference} returns, pivot for pivot, on a seeded
-    LP and on warm-started masters taking the same appended columns.
+    LP and on warm-started masters taking the same appended columns; DC
+    and algorithm F on index arrays ([diff.dc], [diff.f], tag [index])
+    return what {!Spp_core.Dc.Reference} and
+    {!Spp_core.Uniform.Reference} return, item for item and stats, on the
+    case and on a layered or series-parallel instance with n in 64..512
+    and negative, non-contiguous ids drawn from its stream seed.
 
     {b Simulation} ([sound.sim.*], [sim.*]) — online runs through
     {!Spp_sim.Sim} pass the independent segment validator at every

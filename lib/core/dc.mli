@@ -10,7 +10,20 @@
     recursion stacks [DC(S_bot)], [A(S_mid)], [DC(S_top)].
 
     The default subroutine is NFDH, which satisfies the bound
-    [A(S') <= 2·AREA(S') + max h] required by the analysis. *)
+    [A(S') <= 2·AREA(S') + max h] required by the analysis.
+
+    {!pack} builds one array view per call: the rectangles by input
+    position, an id → position table, the predecessors as position
+    arrays and one topological order from {!Spp_dag.Dag.topo_order}. The
+    recursion runs over position subsets, each kept in input order and in
+    topological order. F on an induced sub-DAG is one pass over the
+    subset in topological order, with a per-call stamp marking
+    membership, and both lemmas are asserted on every call. The bands are
+    stacked by passing the absolute base y down; the items are collected
+    bottom band → middle band → top band and checked once by
+    {!Spp_geom.Placement.of_items}. The result is identical to
+    {!Reference.pack}'s: the same items in the same order, and the same
+    stats. *)
 
 type stats = {
   levels : int;  (** recursion depth reached *)
@@ -30,6 +43,19 @@ val pack :
   ?subroutine:(Spp_geom.Rect.t list -> Spp_geom.Placement.t) ->
   Instance.Prec.t ->
   Spp_geom.Placement.t * stats
+
+(** The recursion on induced sub-instances ({!Instance.Prec.induced},
+    hash tables of ids, {!Spp_dag.Dag.independent} for Lemma 2.1), each
+    level shifting and merging its sub-placements, kept as the
+    differential-testing oracle: [Reference.pack ?subroutine inst] returns
+    what [pack ?subroutine inst] returns, items in order and stats. Only
+    the tests, [lib/check] and the timing bench call it. *)
+module Reference : sig
+  val pack :
+    ?subroutine:(Spp_geom.Rect.t list -> Spp_geom.Placement.t) ->
+    Instance.Prec.t ->
+    Spp_geom.Placement.t * stats
+end
 
 (** [height ?subroutine inst] is the height of [pack inst]. *)
 val height :

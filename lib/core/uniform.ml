@@ -13,9 +13,12 @@ let uniform_height (inst : Instance.Prec.t) =
     if List.for_all (fun (r' : Rect.t) -> Q.equal r'.Rect.h r.Rect.h) rest then Some r.Rect.h
     else None
 
-let require_uniform inst =
+(* The empty instance has no height to disagree with; no shelf is built,
+   so any [c] serves. *)
+let require_uniform (inst : Instance.Prec.t) =
   match uniform_height inst with
   | Some c -> c
+  | None when inst.rects = [] -> Q.one
   | None -> invalid_arg "Uniform: instance heights are not uniform"
 
 (* Mutable shelf accumulator shared by the three algorithms. *)
@@ -46,37 +49,41 @@ let shelves_to_placement c shelves =
 
 let next_fit_shelf (inst : Instance.Prec.t) =
   let c = require_uniform inst in
-  let rect_of = Hashtbl.create 16 in
-  List.iter (fun (r : Rect.t) -> Hashtbl.replace rect_of r.Rect.id r) inst.rects;
-  let n = Instance.Prec.size inst in
-  let closed = Hashtbl.create 16 in (* id -> () once its shelf is closed *)
-  let enqueued = Hashtbl.create 16 in
-  let queue = Queue.create () in
+  let rects = Array.of_list inst.rects in
+  let n = Array.length rects in
+  let pos = Hashtbl.create n in
+  Array.iteri (fun i (r : Rect.t) -> Hashtbl.replace pos r.Rect.id i) rects;
+  let succs =
+    Array.map (fun (r : Rect.t) -> List.map (Hashtbl.find pos) (Dag.succs inst.dag r.Rect.id)) rects
+  in
+  (* [waiting.(i)]: predecessors of position [i] not yet on a closed shelf. *)
+  let waiting = Array.make n 0 in
+  Array.iter (List.iter (fun j -> waiting.(j) <- waiting.(j) + 1)) succs;
+  let queue = Queue.create () (* positions *) in
+  Array.iteri (fun i w -> if w = 0 then Queue.add i queue) waiting;
   let placed_count = ref 0 in
   let shelves = ref [] (* newest first *) in
   let open_shelf = ref (new_shelf ()) in
-  let open_contents = ref [] (* ids on the open shelf *) in
+  let open_contents = ref [] (* positions on the open shelf *) in
   let skips = ref 0 in
-  let repopulate () =
-    List.iter
-      (fun (r : Rect.t) ->
-        let id = r.Rect.id in
-        if (not (Hashtbl.mem enqueued id))
-           && List.for_all (Hashtbl.mem closed) (Dag.preds inst.dag id)
-        then begin
-          Hashtbl.replace enqueued id ();
-          Queue.add id queue
-        end)
-      inst.rects
-  in
   let close_shelf () =
-    List.iter (fun id -> Hashtbl.replace closed id ()) !open_contents;
+    (* The rectangles this closing makes ready join the queue in input
+       order, as a full scan of the input would find them. *)
+    let ready =
+      List.fold_left
+        (fun acc i ->
+          List.fold_left
+            (fun acc j ->
+              waiting.(j) <- waiting.(j) - 1;
+              if waiting.(j) = 0 then j :: acc else acc)
+            acc succs.(i))
+        [] !open_contents
+    in
+    List.iter (fun j -> Queue.add j queue) (List.sort Int.compare ready);
     shelves := !open_shelf :: !shelves;
     open_shelf := new_shelf ();
-    open_contents := [];
-    repopulate ()
+    open_contents := []
   in
-  repopulate ();
   let rec run () =
     if !placed_count < n then begin
       match Queue.peek_opt queue with
@@ -84,12 +91,12 @@ let next_fit_shelf (inst : Instance.Prec.t) =
         incr skips;
         close_shelf ();
         run ()
-      | Some id ->
-        let r = Hashtbl.find rect_of id in
+      | Some i ->
+        let r = rects.(i) in
         if shelf_fits !open_shelf r then begin
           ignore (Queue.pop queue);
           shelf_place !open_shelf r;
-          open_contents := id :: !open_contents;
+          open_contents := i :: !open_contents;
           incr placed_count;
           run ()
         end
@@ -104,6 +111,69 @@ let next_fit_shelf (inst : Instance.Prec.t) =
   if !open_contents <> [] then shelves := !open_shelf :: !shelves;
   let shelves = List.rev !shelves in
   (shelves_to_placement c shelves, { shelves = List.length shelves; skips = !skips })
+
+module Reference = struct
+  let next_fit_shelf (inst : Instance.Prec.t) =
+    let c = require_uniform inst in
+    let rect_of = Hashtbl.create 16 in
+    List.iter (fun (r : Rect.t) -> Hashtbl.replace rect_of r.Rect.id r) inst.rects;
+    let n = Instance.Prec.size inst in
+    let closed = Hashtbl.create 16 in (* id -> () once its shelf is closed *)
+    let enqueued = Hashtbl.create 16 in
+    let queue = Queue.create () in
+    let placed_count = ref 0 in
+    let shelves = ref [] (* newest first *) in
+    let open_shelf = ref (new_shelf ()) in
+    let open_contents = ref [] (* ids on the open shelf *) in
+    let skips = ref 0 in
+    let repopulate () =
+      List.iter
+        (fun (r : Rect.t) ->
+          let id = r.Rect.id in
+          if (not (Hashtbl.mem enqueued id))
+             && List.for_all (Hashtbl.mem closed) (Dag.preds inst.dag id)
+          then begin
+            Hashtbl.replace enqueued id ();
+            Queue.add id queue
+          end)
+        inst.rects
+    in
+    let close_shelf () =
+      List.iter (fun id -> Hashtbl.replace closed id ()) !open_contents;
+      shelves := !open_shelf :: !shelves;
+      open_shelf := new_shelf ();
+      open_contents := [];
+      repopulate ()
+    in
+    repopulate ();
+    let rec run () =
+      if !placed_count < n then begin
+        match Queue.peek_opt queue with
+        | None ->
+          incr skips;
+          close_shelf ();
+          run ()
+        | Some id ->
+          let r = Hashtbl.find rect_of id in
+          if shelf_fits !open_shelf r then begin
+            ignore (Queue.pop queue);
+            shelf_place !open_shelf r;
+            open_contents := id :: !open_contents;
+            incr placed_count;
+            run ()
+          end
+          else begin
+            close_shelf ();
+            run ()
+          end
+      end
+    in
+    run ();
+    (* Flush the final open shelf (not a skip: the input is exhausted). *)
+    if !open_contents <> [] then shelves := !open_shelf :: !shelves;
+    let shelves = List.rev !shelves in
+    (shelves_to_placement c shelves, { shelves = List.length shelves; skips = !skips })
+end
 
 (* ------------------------------------------------------------------ *)
 (* GGJY-style precedence first fit *)

@@ -13,7 +13,17 @@
       precedence bin packing (asymptotic regime), via the reduction;
     - {!wave_ffd}: a wave/level FFD heuristic baseline;
     - {!red_green_decomposition}: the shelf colouring used in Theorem 2.6's
-      proof, exposed so tests can check the proof's invariants. *)
+      proof, exposed so tests can check the proof's invariants.
+
+    The algorithms that need uniform heights accept the empty instance
+    (there is no height to disagree) and return the empty placement.
+
+    {!next_fit_shelf} runs on an array view: rectangles by input position,
+    successors as positions, and a count of unclosed predecessors per
+    rectangle. Closing a shelf decrements the counts of its rectangles'
+    successors, and those reaching zero join the queue in input order,
+    exactly the order a full rescan of the input finds them in. The shelves
+    are identical to {!Reference.next_fit_shelf}'s, item for item. *)
 
 (** [uniform_height inst] is the common height when all rects share one
     (Some c), or None. None on the empty instance. *)
@@ -30,6 +40,15 @@ type shelf_stats = {
     not fit or the queue is empty (a {e skip}).
     @raise Invalid_argument if heights are not uniform. *)
 val next_fit_shelf : Instance.Prec.t -> Spp_geom.Placement.t * shelf_stats
+
+(** Algorithm F with id hash tables and a rescan of every rectangle and
+    its predecessors each time a shelf closes, kept as the
+    differential-testing oracle: [Reference.next_fit_shelf inst] returns
+    what [next_fit_shelf inst] returns, items in order and stats. Only the
+    tests, [lib/check] and the timing bench call it. *)
+module Reference : sig
+  val next_fit_shelf : Instance.Prec.t -> Spp_geom.Placement.t * shelf_stats
+end
 
 (** [prec_first_fit inst] processes rectangles in topological order and
     places each in the lowest shelf that is strictly above all its

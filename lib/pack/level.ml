@@ -37,11 +37,27 @@ let shelf_pack ~choose rects =
     sorted;
   Placement.of_items (List.concat_map (fun l -> l.contents) !levels)
 
+(* Only the newest level is open, so it is the only one kept; every item
+   is prepended to one list, which is the order [shelf_pack] returns. *)
 let nfdh rects =
-  shelf_pack rects ~choose:(fun levels r ->
-      match List.rev levels with
-      | [] -> None
-      | newest :: _ -> if fits newest r then Some newest else None)
+  let items = ref [] in
+  let level = ref None in
+  let top = ref Q.zero in
+  List.iter
+    (fun (r : Rect.t) ->
+      let l =
+        match !level with
+        | Some l when fits l r -> l
+        | _ ->
+          let l = { base = !top; lheight = r.Rect.h; used = Q.zero; contents = [] } in
+          top := Q.add !top r.Rect.h;
+          level := Some l;
+          l
+      in
+      items := { Placement.rect = r; pos = { Placement.x = l.used; y = l.base } } :: !items;
+      l.used <- Q.add l.used r.Rect.w)
+    (Rect.sort_by_height_desc rects);
+  Placement.of_items !items
 
 let ffdh rects =
   shelf_pack rects ~choose:(fun levels r -> List.find_opt (fun l -> fits l r) levels)
@@ -59,3 +75,11 @@ let bfdh rects =
         None candidates)
 
 let nfdh_height rects = Placement.height (nfdh rects)
+
+module Reference = struct
+  let nfdh rects =
+    shelf_pack rects ~choose:(fun levels r ->
+        match List.rev levels with
+        | [] -> None
+        | newest :: _ -> if fits newest r then Some newest else None)
+end

@@ -231,6 +231,67 @@ let prop_dc_with_ffdh_subroutine =
       Validate.check_prec inst p = []
       && Q.to_float (Placement.height p) <= Dc.theorem_2_3_bound inst +. 1e-9)
 
+(* DC and F on index arrays against their References: every item
+   (rectangle and position) in order, and the stats. *)
+let item_view (it : Placement.item) =
+  Printf.sprintf "%d %s %s at (%s, %s)" it.rect.Rect.id (Q.to_string it.rect.Rect.w)
+    (Q.to_string it.rect.Rect.h) (Q.to_string it.pos.Placement.x) (Q.to_string it.pos.Placement.y)
+
+let same_packing (p, s) (p', s') =
+  List.map item_view (Placement.items p) = List.map item_view (Placement.items p') && s = s'
+
+let check_same_packing label pp_stats (p, s) (p', s') =
+  Alcotest.(check (list string)) (label ^ ": items") (List.map item_view (Placement.items p'))
+    (List.map item_view (Placement.items p));
+  Alcotest.(check string) (label ^ ": stats") (pp_stats s') (pp_stats s)
+
+let dc_stats (s : Dc.stats) = Printf.sprintf "levels %d, mid calls %d" s.Dc.levels s.Dc.mid_calls
+
+let check_dc_reference ?subroutine label inst =
+  check_same_packing label dc_stats (Dc.pack ?subroutine inst) (Dc.Reference.pack ?subroutine inst)
+
+let test_dc_matches_reference () =
+  let rng = Spp_util.Prng.create 2024 in
+  List.iter
+    (fun (name, shape) ->
+      check_dc_reference ("n = 1024 " ^ name)
+        (Spp_workloads.Generators.random_prec rng ~n:1024 ~k:8 ~h_den:4 ~shape))
+    [ ("layered", `Layered); ("series-parallel", `Series_parallel) ];
+  let ids n = List.init n Fun.id in
+  let unit_rects n = List.init n (fun i -> rect i 1 2 1 1) in
+  check_dc_reference "2000-node chain"
+    (I.Prec.make (unit_rects 2000) (Spp_workloads.Generators.chain ~ids:(ids 2000)));
+  check_dc_reference "1000-rect antichain"
+    (I.Prec.unconstrained (Spp_workloads.Generators.random_rects rng ~n:1000 ~k:8 ~h_den:4));
+  (* Negative, non-contiguous ids, not in input order. *)
+  let scattered =
+    prec
+      [ rect (-7) 1 2 1 1; rect (-40) 1 4 2 1; rect 13 1 2 1 2; rect (-1) 1 1 1 1; rect 99 3 4 1 4 ]
+      [ (-7, -40); (-7, 13); (-40, -1); (13, -1); (-7, 99) ]
+  in
+  check_dc_reference "negative ids" scattered;
+  let layered300 = Spp_workloads.Generators.random_prec rng ~n:300 ~k:8 ~h_den:4 ~shape:`Layered in
+  check_dc_reference ~subroutine:Spp_pack.Level.ffdh "ffdh subroutine" layered300;
+  (* NFDH and FFDH sort their band; this subroutine sees the band's order. *)
+  check_dc_reference ~subroutine:(Spp_pack.Bottom_left.pack ~order:Fun.id)
+    "bottom-left in band order" layered300;
+  check_dc_reference "empty" (prec [] []);
+  let data = if Sys.file_exists "../data" then "../data" else "data" in
+  List.iter
+    (fun dir ->
+      Array.iter
+        (fun file ->
+          if Filename.check_suffix file ".spp" then
+            match Spp_core.Io.read_file (Filename.concat dir file) with
+            | Spp_core.Io.Prec inst -> check_dc_reference file inst
+            | Spp_core.Io.Release _ -> ())
+        (Sys.readdir dir))
+    [ data; Filename.concat data "corpus" ]
+
+let prop_dc_matches_reference =
+  QCheck.Test.make ~name:"DC = Dc.Reference, item for item" ~count:150 prec_gen (fun inst ->
+      same_packing (Dc.pack inst) (Dc.Reference.pack inst))
+
 (* ------------------------------------------------------------------ *)
 (* Uniform height (Section 2.2) *)
 
@@ -244,6 +305,34 @@ let test_uniform_height_detection () =
   Alcotest.check_raises "next_fit_shelf rejects mixed"
     (Invalid_argument "Uniform: instance heights are not uniform") (fun () ->
       ignore (Uniform.next_fit_shelf nu))
+
+let f_stats (s : Uniform.shelf_stats) =
+  Printf.sprintf "%d shelves, %d skips" s.Uniform.shelves s.Uniform.skips
+
+let test_algorithm_f_matches_reference () =
+  let rng = Spp_util.Prng.create 512 in
+  List.iter
+    (fun (name, shape) ->
+      let inst = Spp_workloads.Generators.random_uniform_prec rng ~n:512 ~k:8 ~shape in
+      check_same_packing ("n = 512 " ^ name) f_stats (Uniform.next_fit_shelf inst)
+        (Uniform.Reference.next_fit_shelf inst))
+    [ ("layered", `Layered); ("series-parallel", `Series_parallel) ]
+
+let test_uniform_empty () =
+  (* No height to disagree with: every shelf algorithm packs nothing. *)
+  let empty = prec [] [] in
+  List.iter
+    (fun (name, alg) ->
+      let p, stats = alg empty in
+      Alcotest.(check int) (name ^ " places nothing") 0 (Placement.size p);
+      Alcotest.(check int) (name ^ " opens no shelf") 0 stats.Uniform.shelves)
+    [ ("F", Uniform.next_fit_shelf); ("F reference", Uniform.Reference.next_fit_shelf);
+      ("PFF", Uniform.prec_first_fit); ("wave", Uniform.wave_ffd) ];
+  Alcotest.(check bool) "uniform_height stays None" true (Uniform.uniform_height empty = None)
+
+let prop_algorithm_f_matches_reference =
+  QCheck.Test.make ~name:"F = Uniform.Reference, item for item" ~count:150 uniform_gen (fun inst ->
+      same_packing (Uniform.next_fit_shelf inst) (Uniform.Reference.next_fit_shelf inst))
 
 let test_algorithm_f_example () =
   (* Chain of two wide rects plus two independent narrow ones. *)
@@ -747,16 +836,20 @@ let () =
         :: Alcotest.test_case "chain tight" `Quick test_dc_chain_is_tight
         :: Alcotest.test_case "diamond valid" `Quick test_dc_diamond
         :: Alcotest.test_case "split on diamond" `Quick test_dc_split_diamond
+        :: Alcotest.test_case "same as the reference" `Quick test_dc_matches_reference
         :: qt
              [ prop_dc_split_lemmas; prop_dc_valid; prop_dc_induction_bound;
-               prop_dc_with_ffdh_subroutine ] );
+               prop_dc_with_ffdh_subroutine; prop_dc_matches_reference ] );
       ( "uniform",
         Alcotest.test_case "uniform detection" `Quick test_uniform_height_detection
         :: Alcotest.test_case "algorithm F example" `Quick test_algorithm_f_example
         :: Alcotest.test_case "red/green example" `Quick test_red_green_example
+        :: Alcotest.test_case "F same as the reference" `Quick test_algorithm_f_matches_reference
+        :: Alcotest.test_case "empty instance" `Quick test_uniform_empty
         :: qt
              [
                prop_algorithm_f_valid;
+               prop_algorithm_f_matches_reference;
                prop_algorithm_f_skip_bound;
                prop_prec_first_fit_valid;
                prop_wave_ffd_valid;

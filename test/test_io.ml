@@ -245,6 +245,46 @@ let test_cli_parse_error_hint () =
       Alcotest.(check bool) "names the offending line" true (contains_substring text "line 1");
       Alcotest.(check bool) "carries a hint" true (contains_substring text "hint:"))
 
+(* The uniform-height algorithms refuse mixed heights with a usage error
+   naming the algorithm, and pack an empty file like DC does. *)
+let test_cli_uniform_mixed_heights () =
+  let err = Filename.temp_file "spp_stderr" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun alg ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s pack --alg %s %s >/dev/null 2>%s" (Filename.quote spp_exe) alg
+                 (Filename.quote "../data/jpeg4.spp") (Filename.quote err))
+          in
+          Alcotest.(check int) (alg ^ " exits 64") 64 code;
+          let text = In_channel.with_open_text err In_channel.input_all in
+          Alcotest.(check bool) (alg ^ " names the algorithm") true
+            (contains_substring text ("--alg " ^ alg));
+          Alcotest.(check int) (alg ^ " one line") 1
+            (List.length (String.split_on_char '\n' (String.trim text))))
+        [ "f"; "pff"; "wave" ])
+
+let test_cli_uniform_empty_file () =
+  let empty = Filename.temp_file "spp_empty" ".spp" in
+  let out = Filename.temp_file "spp_stdout" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ empty; out ])
+    (fun () ->
+      List.iter
+        (fun alg ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s pack --alg %s %s >%s 2>/dev/null" (Filename.quote spp_exe) alg
+                 (Filename.quote empty) (Filename.quote out))
+          in
+          Alcotest.(check int) (alg ^ " exits 0") 0 code;
+          Alcotest.(check string) (alg ^ " packs nothing") "height 0"
+            (String.trim (In_channel.with_open_text out In_channel.input_all)))
+        [ "dc"; "f"; "pff"; "wave" ])
+
 (* [--stats-json] is the one reader of the engine's event log, which the
    CLI keeps only when the flag is given: the file must still hold one
    [solver] event per raced member, one [solve] summary, then the
@@ -296,6 +336,10 @@ let () =
           Alcotest.test_case "io error exit code" `Quick test_cli_io_error_exit;
           Alcotest.test_case "parse error hint" `Quick test_cli_parse_error_hint;
           Alcotest.test_case "library exceptions" `Quick test_error_exceptions;
+          Alcotest.test_case "uniform algorithms on mixed heights" `Quick
+            test_cli_uniform_mixed_heights;
+          Alcotest.test_case "uniform algorithms on an empty file" `Quick
+            test_cli_uniform_empty_file;
         ] );
       ("cli", [ Alcotest.test_case "stats json" `Quick test_cli_stats_json ]);
       ( "roundtrip",

@@ -83,6 +83,26 @@ let prop_level_height_at_least_area =
   QCheck.Test.make ~name:"height >= AREA (sanity)" ~count:200 rects_gen (fun rs ->
       Q.compare (Level.nfdh_height rs) (Rect.total_area rs) >= 0)
 
+(* NFDH keeps only its open level; Level.Reference.nfdh runs it on the
+   generic level packer and is the oracle, compared item for item
+   (rectangle and position, order included). *)
+let same_items a b =
+  let item (it : Placement.item) =
+    (it.Placement.rect.Rect.id, Q.to_string it.pos.Placement.x, Q.to_string it.pos.Placement.y)
+  in
+  List.map item (Placement.items a) = List.map item (Placement.items b)
+
+let prop_nfdh_matches_reference =
+  QCheck.Test.make ~name:"NFDH = Level.Reference.nfdh, item for item" ~count:300 rects_gen
+    (fun rs -> same_items (Level.nfdh rs) (Level.Reference.nfdh rs))
+
+let test_nfdh_many_levels () =
+  (* 1024 rects 3/4 wide: one level each, where the reference's level
+     list is longest. *)
+  let rs = List.init 1024 (fun i -> Rect.make ~id:(1023 - i) ~w:(q 3 4) ~h:(q (1 + (i mod 3)) 4)) in
+  Alcotest.(check bool) "same items as the reference" true
+    (same_items (Level.nfdh rs) (Level.Reference.nfdh rs))
+
 (* ------------------------------------------------------------------ *)
 (* Bin packing *)
 
@@ -348,9 +368,11 @@ let () =
         :: Alcotest.test_case "nfdh vs ffdh" `Quick test_nfdh_closes_level
         :: Alcotest.test_case "bfdh best fit" `Quick test_bfdh_prefers_fullest
         :: Alcotest.test_case "empty input" `Quick test_level_empty
+        :: Alcotest.test_case "nfdh many levels" `Quick test_nfdh_many_levels
         :: qt
              [
                prop_level_algorithms_valid;
+               prop_nfdh_matches_reference;
                prop_nfdh_area_bound;
                prop_ffdh_not_worse_than_nfdh;
                prop_level_height_at_least_area;
