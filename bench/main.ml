@@ -671,6 +671,10 @@ let e13 () =
 (* ------------------------------------------------------------------ *)
 (* Timing benches (Bechamel). *)
 
+(* The exact simplex on boxed rationals alone: the path [Simplex.Exact]
+   falls back to when a value leaves the one-word range. *)
+module Boxed_simplex = Spp_lp.Simplex.Make (Spp_lp.Field.Rat)
+
 let timing () =
   section "T1-T11  Timing (Bechamel; ns per run, linear-regression estimate)";
   let open Bechamel in
@@ -746,6 +750,8 @@ let timing () =
         (Staged.stage (fun () -> ignore (Spp_exact.Order_search.Reference.best_release rinst8)));
       Test.make ~name:"T9 exact simplex"
         (Staged.stage (fun () -> ignore (Spp_lp.Simplex.Exact.solve sparse_lp)));
+      Test.make ~name:"T9b exact simplex, boxed"
+        (Staged.stage (fun () -> ignore (Boxed_simplex.solve sparse_lp)));
       Test.make ~name:"T9r simplex reference"
         (Staged.stage (fun () -> ignore (Spp_lp.Simplex.Reference.solve sparse_lp)));
       Test.make ~name:"T10 DC n=1024" (Staged.stage (fun () -> ignore (Dc.pack inst1024)));

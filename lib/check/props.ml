@@ -877,14 +877,18 @@ let master_transcript (module R : Spp_lp.Simplex.RESTRICTED) model appends =
     | [] -> []
     | (obj, entries) :: rest ->
       let step = Printf.sprintf "append %d: " i in
-      (match R.add_column rm ~obj ~entries with
-       | `Needs_rebuild -> [ step ^ "needs rebuild" ]
-       | `Added ->
-         (match with_pivots (fun () -> R.reoptimize rm) with
-          | exception Failure msg -> [ step ^ msg ]
-          | `Unbounded, p -> [ Printf.sprintf "%sunbounded, %d pivots" step p ]
-          | `Optimal, p ->
-            Printf.sprintf "%soptimal, %d pivots, %s" step p (state rm) :: append rm (i + 1) rest))
+      (* The pivots count whatever [add_column] reports too. *)
+      let add () =
+        match R.add_column rm ~obj ~entries with
+        | `Needs_rebuild -> `Needs_rebuild
+        | `Added -> (R.reoptimize rm :> [ `Needs_rebuild | `Optimal | `Unbounded ])
+      in
+      (match with_pivots add with
+       | exception Failure msg -> [ step ^ msg ]
+       | `Needs_rebuild, _ -> [ step ^ "needs rebuild" ]
+       | `Unbounded, p -> [ Printf.sprintf "%sunbounded, %d pivots" step p ]
+       | `Optimal, p ->
+         Printf.sprintf "%soptimal, %d pivots, %s" step p (state rm) :: append rm (i + 1) rest)
   in
   match with_pivots (fun () -> R.create ~max_iters:lp_max_iters model) with
   | exception Failure msg -> [ "create: " ^ msg ]
@@ -893,35 +897,185 @@ let master_transcript (module R : Spp_lp.Simplex.RESTRICTED) model appends =
   | `Optimal rm, p ->
     Printf.sprintf "create: optimal, %d pivots, %s" p (state rm) :: append rm 1 appends
 
+(* [model] and [appends] with every constraint row multiplied by [row]
+   and the objective by [obj]. *)
+let scale_lp ~row ~obj model appends =
+  let module M = Spp_lp.Model in
+  let m = M.create () in
+  for v = 0 to M.num_vars model - 1 do
+    ignore (M.add_var m ~name:(M.var_name model v))
+  done;
+  let times k = List.map (fun (v, c) -> (v, Q.mul k c)) in
+  M.set_objective m (times obj (M.objective model));
+  List.iter
+    (fun (name, terms, op, rhs) -> M.add_constraint m ~name (times row terms) op (Q.mul row rhs))
+    (M.constraints model);
+  (m, List.map (fun (o, entries) -> (Q.mul obj o, times row entries)) appends)
+
 let diff_simplex =
   prop "diff.simplex"
-    "Simplex.Exact (updates on the nonzeros, appends into spare row capacity) returns exactly \
-     what Simplex.Reference (the dense tableau) returns on a seeded LP with <=, >= and = rows, \
+    "Simplex.Exact (on one-word rationals, updates on the nonzeros, appends into spare row \
+     capacity, boxed rationals once a value leaves the word) returns exactly what \
+     Simplex.Reference (the dense tableau) returns on a seeded LP with <=, >= and = rows, \
      zero coefficients, negative right-hand sides and duplicated rows: verdict, objective, \
      solution, duals and profile pivots; then both Restricted masters take the same 1-6 \
      appended columns, each followed by reoptimize, and agree on every verdict, pivot count, \
-     objective, solution and dual"
+     objective, solution and dual. The same again with the rows times 2^31, which leaves the \
+     word range at load (one fallback each for solve and master), and with the objective \
+     times 2^27, which on about a third of the cases leaves it later: in the phase-2 cost \
+     row, at a pivot or at an append"
     [ "prec"; "release"; "lp" ]
     (fun parsed ->
       let module S = Spp_lp.Simplex in
       let rng = Spp_util.Prng.create (stream_seed_of parsed) in
       let model = random_lp rng in
       let appends = random_appends rng model in
-      let lp () = Format.asprintf "%a" Spp_lp.Model.pp model in
-      (* The masters go first: their create runs the same two phases as
-         solve, under the pivot bound. *)
-      let fast_m = master_transcript (module S.Exact.Restricted) model appends
-      and slow_m = master_transcript (module S.Reference.Restricted) model appends in
-      if fast_m <> slow_m then
-        Fail
-          (Printf.sprintf "restricted master %s on\n%s" (first_difference Fun.id fast_m slow_m)
-             (lp ()))
-      else begin
-        let fast = solve_transcript S.Exact.solve model
-        and slow = solve_transcript S.Reference.solve model in
-        if fast = slow then Pass
-        else Fail (Printf.sprintf "solve: exact %s; reference %s on\n%s" fast slow (lp ()))
-      end)
+      (* [f ()], and whether it made the [expected] number of fallbacks
+         (any number for [None]). *)
+      let falls_back expected f =
+        let before = S.Exact.fallbacks () in
+        let out = f () in
+        (out, Option.fold ~none:true ~some:(( = ) (S.Exact.fallbacks () - before)) expected)
+      in
+      let check (label, model, appends, fallbacks) =
+        let lp () = Format.asprintf "%s:\n%a" label Spp_lp.Model.pp model in
+        (* The masters go first: their create runs the same two phases as
+           solve, under the pivot bound. *)
+        let fast_m, m_ok =
+          falls_back fallbacks (fun () -> master_transcript (module S.Exact.Restricted) model appends)
+        and slow_m = master_transcript (module S.Reference.Restricted) model appends in
+        if fast_m <> slow_m then
+          Fail
+            (Printf.sprintf "restricted master %s on %s" (first_difference Fun.id fast_m slow_m)
+               (lp ()))
+        else begin
+          let fast, s_ok = falls_back fallbacks (fun () -> solve_transcript S.Exact.solve model)
+          and slow = solve_transcript S.Reference.solve model in
+          if fast <> slow then
+            Fail (Printf.sprintf "solve: exact %s; reference %s on %s" fast slow (lp ()))
+          else if not (m_ok && s_ok) then
+            Fail
+              (Printf.sprintf "fallbacks not %d (master ok %b, solve ok %b) on %s"
+                 (Option.value fallbacks ~default:0) m_ok s_ok (lp ()))
+          else Pass
+        end
+      in
+      (* Rows times 2^31 put every nonzero constraint entry past the word
+         range; only an all-zero constraint set loads on words. *)
+      let loads_on_words =
+        List.for_all
+          (fun (_, terms, _, rhs) -> Q.is_zero rhs && List.for_all (fun (_, c) -> Q.is_zero c) terms)
+          (Spp_lp.Model.constraints model)
+      in
+      let at_load, at_load_appends = scale_lp ~row:(Q.of_int (1 lsl 31)) ~obj:Q.one model appends
+      and at_pivot, at_pivot_appends = scale_lp ~row:Q.one ~obj:(Q.of_int (1 lsl 27)) model appends in
+      let rec first = function
+        | [] -> Pass
+        | v :: rest -> (match check v with Pass -> first rest | r -> r)
+      in
+      first
+        [ ("as drawn", model, appends, None);
+          ("rows times 2^31", at_load, at_load_appends, Some (if loads_on_words then 0 else 1));
+          ("objective times 2^27", at_pivot, at_pivot_appends, None) ])
+
+(* ------------------------------------------------------------------ *)
+(* Differential: one-word rationals vs boxed rationals *)
+
+let word_limit = 1 lsl 30
+
+(* Whether [r] fits a word: |num| < 2^30 and den < 2^30. *)
+let fits_word r =
+  let module B = Spp_num.Bigint in
+  let part b = B.is_small b && abs (B.small_value b) < word_limit in
+  part (Q.num r) && part (Q.den r)
+
+(* Operands for diff.word, all in the word range: 0, +-1 and
+   +-(2^30 - 1), the edges; fractions whose denominators sit just below
+   2^30, with neighbours that floats cannot tell apart; pairs whose
+   products approach 2^60, with and without cancelling factors; and small
+   values, whose sums meet common denominators. *)
+let word_operands rng =
+  let module P = Spp_util.Prng in
+  let top = word_limit - 1 in
+  let near () = word_limit - P.int_in rng 1 64 in
+  let sign () = if P.bool rng then 1 else -1 in
+  let small () = Q.of_ints (sign () * P.int_in rng 0 12) (P.int_in rng 1 12) in
+  let b = near () and d = near () in
+  let k = P.int_in rng 2 1000 in
+  [ Q.zero; Q.one; Q.minus_one; Q.of_int top; Q.of_int (-top); Q.of_ints 1 top;
+    Q.of_ints (top - 1) top; Q.of_ints top (top - 1);
+    Q.of_ints (sign () * P.int_in rng 1 top) (near ());
+    Q.of_ints (b - 1) b; Q.of_ints (d - 1) d; Q.of_ints (b - 2) (b - 1);
+    Q.of_ints (sign () * near ()) (P.int_in rng 1 7); Q.of_ints (P.int_in rng 1 7) (near ());
+    Q.of_ints (sign () * (top / k * k)) (k + 1); Q.of_ints (k + 1) (top / k);
+    small (); small (); small (); small (); small (); small () ]
+
+(* Values of_rat must refuse: one part at or past 2^30. *)
+let word_outside =
+  [ Q.of_int word_limit; Q.of_int (-word_limit); Q.of_ints 1 word_limit;
+    Q.of_ints (word_limit + 1) 3; Q.of_ints 5 ((2 * word_limit) + 1); Q.of_int max_int;
+    Q.mul (Q.of_int max_int) (Q.of_int 4) ]
+
+let diff_word =
+  prop "diff.word"
+    "Field.Word (one normalised rational in an immediate int, |num| and den below 2^30) \
+     returns exactly Field.Rat's normalised value on add, sub, mul, div, neg, compare, \
+     is_zero, of_rat and to_rat over edge, near-2^30, near-2^60-product and small operands, \
+     or raises Overflow exactly when Rat's result leaves the range"
+    [ "prec"; "release"; "lp" ]
+    (fun parsed ->
+      let module W = Spp_lp.Field.Word in
+      let rng = Spp_util.Prng.create (stream_seed_of parsed) in
+      let operands = List.map (fun r -> (r, W.of_rat r)) (word_operands rng) in
+      (* The word result, as Rat prints it, or why there is none. *)
+      let outcome f =
+        match f () with
+        | w ->
+          (match W.to_rat w with
+           | r when W.to_string w = qs r -> qs r
+           | _ -> Printf.sprintf "%s, not normalised" (W.to_string w)
+           | exception Division_by_zero -> Printf.sprintf "%s, zero denominator" (W.to_string w))
+        | exception W.Overflow -> "overflow"
+        | exception Division_by_zero -> "division by zero"
+      in
+      let expected f =
+        match f () with
+        | r -> if fits_word r then qs r else "overflow"
+        | exception Division_by_zero -> "division by zero"
+      in
+      let binary name rop wop ((x, wx), (y, wy)) =
+        let want = expected (fun () -> rop x y) and got = outcome (fun () -> wop wx wy) in
+        ( want = got,
+          fun () -> Printf.sprintf "%s %s %s: word %s, rat %s" (qs x) name (qs y) got want )
+      in
+      let sign c = compare c 0 in
+      let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) operands) operands in
+      let checks =
+        List.concat_map
+          (fun (((x, wx), (y, wy)) as pair) ->
+            [ binary "+" Q.add W.add pair; binary "-" Q.sub W.sub pair;
+              binary "*" Q.mul W.mul pair; binary "/" Q.div W.div pair;
+              ( sign (W.compare wx wy) = sign (Q.compare x y),
+                fun () ->
+                  Printf.sprintf "compare %s %s: word %d, rat %d" (qs x) (qs y) (W.compare wx wy)
+                    (Q.compare x y) ) ])
+          pairs
+        @ List.concat_map
+            (fun (x, wx) ->
+              [ ( outcome (fun () -> W.neg wx) = expected (fun () -> Q.neg x),
+                  fun () -> Printf.sprintf "neg %s: word %s" (qs x) (outcome (fun () -> W.neg wx)) );
+                ( W.is_zero wx = Q.is_zero x,
+                  fun () -> Printf.sprintf "is_zero %s: word %b" (qs x) (W.is_zero wx) );
+                ( Q.equal (W.to_rat wx) x && outcome (fun () -> wx) = qs x,
+                  fun () -> Printf.sprintf "of_rat then to_rat %s: %s" (qs x) (qs (W.to_rat wx)) ) ])
+            operands
+        @ List.map
+            (fun x ->
+              ( outcome (fun () -> W.of_rat x) = "overflow",
+                fun () -> Printf.sprintf "of_rat %s: %s" (qs x) (outcome (fun () -> W.of_rat x)) ))
+            word_outside
+      in
+      all_pass checks)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: DC and algorithm F on index arrays vs their references *)
@@ -1273,7 +1427,8 @@ let all =
     diff_engine; sound_engine_degraded;
     meta_relabel; meta_edge_drop; meta_release_slacken;
     sound_sim_ff; sound_sim_buffered; sound_sim_repack; sim_stream;
-    diff_validate; diff_sim_check; diff_hitpath; diff_order; diff_simplex; diff_dc; diff_f;
+    diff_validate; diff_sim_check; diff_hitpath; diff_order; diff_simplex; diff_word; diff_dc;
+    diff_f;
   ]
 
 let select ?algos ~variant () =

@@ -31,7 +31,11 @@
     node for node, on the kernel and on its fallback; the exact simplex
     ([diff.simplex], tag [lp]) returns what the dense
     {!Spp_lp.Simplex.Reference} returns, pivot for pivot, on a seeded
-    LP and on warm-started masters taking the same appended columns; DC
+    LP and on warm-started masters taking the same appended columns,
+    also scaled past the one-word range so that it falls back to boxed
+    rationals; the one-word rationals ([diff.word], tag [lp]) return
+    exactly the boxed rationals' normalised values, or overflow exactly
+    when those leave the range; DC
     and algorithm F on index arrays ([diff.dc], [diff.f], tag [index])
     return what {!Spp_core.Dc.Reference} and
     {!Spp_core.Uniform.Reference} return, item for item and stats, on the

@@ -14,6 +14,9 @@ type t = {
 
 let create () = { names = []; nvars = 0; objective = []; constrs = [] }
 
+(* The lists are never mutated in place, so sharing them is a copy. *)
+let copy t = { t with nvars = t.nvars }
+
 let add_var t ~name =
   let v = t.nvars in
   t.names <- name :: t.names;

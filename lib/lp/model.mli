@@ -16,6 +16,10 @@ type t
 (** [create ()] is an empty model. *)
 val create : unit -> t
 
+(** [copy t] is a model equal to [t] that later changes to [t] do not
+    reach. *)
+val copy : t -> t
+
 (** [add_var t ~name] declares a fresh non-negative variable. *)
 val add_var : t -> name:string -> var
 

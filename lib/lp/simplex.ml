@@ -3,6 +3,21 @@ type 'a result =
   | Infeasible
   | Unbounded
 
+(* Steps of the pivot loop, counted on every exit path. A public entry
+   point reports its count to the profile once, when it returns or raises
+   ([metered]); {!Exact} drops the count of a word attempt it abandons. *)
+type meter = { mutable pivots : int }
+
+let metered f =
+  let m = { pivots = 0 } in
+  match f m with
+  | r ->
+    Spp_obs.Profile.add_pivots m.pivots;
+    r
+  | exception e ->
+    Spp_obs.Profile.add_pivots m.pivots;
+    raise e
+
 module Make (F : Field.S) = struct
   (* Tableau, stored densely and updated only on its nonzeros:
        rows    : m arrays of capacity >= cols+1; slot [cols] is the rhs,
@@ -67,11 +82,12 @@ module Make (F : Field.S) = struct
      additionally admits its appended columns). *)
   let degenerate_limit = 40
 
-  let iterate t ~enter_ok ~max_iters =
+  let iterate t ~enter_ok ~max_iters meter =
     let iters = ref 0 in
     let degenerate_run = ref 0 in
     let rec step () =
       incr iters;
+      meter.pivots <- meter.pivots + 1;
       if !iters > max_iters then failwith "Simplex: iteration limit exceeded";
       let entering = ref (-1) in
       if !degenerate_run < degenerate_limit then begin
@@ -118,16 +134,7 @@ module Make (F : Field.S) = struct
         end
       end
     in
-    (* Ambient profiling: one aggregate report per solve, on every exit
-       path (including the iteration-limit failure), never per pivot. *)
-    let report () = Spp_obs.Profile.add_pivots !iters in
-    match step () with
-    | r ->
-      report ();
-      r
-    | exception e ->
-      report ();
-      raise e
+    step ()
 
   (* Reduced-cost row for cost vector [cost] (length cols) under the current
      basis: r_j = c_j - sum_i c_{basis i} T[i][j];   slot cols = -z. *)
@@ -158,7 +165,7 @@ module Make (F : Field.S) = struct
   (* Build the tableau from [model] and run phase 1 (when artificials are
      needed), driving artificials out of the basis and dropping redundant
      rows. Returns a feasible prepared tableau or [`Infeasible]. *)
-  let prepare model ~max_iters =
+  let prepare model ~max_iters meter =
     let n = Model.num_vars model in
     let constrs = Array.of_list (Model.constraints model) in
     let m = Array.length constrs in
@@ -228,7 +235,7 @@ module Make (F : Field.S) = struct
         cost.(j) <- F.one
       done;
       set_objective_row t cost;
-      (match iterate t ~enter_ok:(fun _ -> true) ~max_iters with
+      (match iterate t ~enter_ok:(fun _ -> true) ~max_iters meter with
        | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
        | `Optimal -> ());
       let z1 = F.neg t.objrow.(t.cols) in
@@ -279,15 +286,18 @@ module Make (F : Field.S) = struct
     done;
     duals
 
-  let solve_max_iters model ~max_iters =
-    match prepare model ~max_iters with
+  (* [solve_on], [Restricted.create_on] and [Restricted.reoptimize_on]
+     count their pivots on [meter] and report nothing; the public entry
+     points report through [metered]. *)
+  let solve_on meter model ~max_iters =
+    match prepare model ~max_iters meter with
     | `Infeasible -> Infeasible
     | `Feasible p ->
       let t = p.tab in
       (* Phase 2: original objective; artificial columns are barred from
          entering. *)
       set_objective_row t (model_cost model t);
-      (match iterate t ~enter_ok:(fun j -> j < t.art_start) ~max_iters with
+      (match iterate t ~enter_ok:(fun j -> j < t.art_start) ~max_iters meter with
        | `Unbounded -> Unbounded
        | `Optimal ->
          let solution = Array.make t.nvars F.zero in
@@ -297,6 +307,7 @@ module Make (F : Field.S) = struct
          let objective = F.neg t.objrow.(t.cols) in
          Optimal { objective; solution; duals = extract_duals p })
 
+  let solve_max_iters model ~max_iters = metered (fun m -> solve_on m model ~max_iters)
   let solve model = solve_max_iters model ~max_iters:1_000_000
 
   (* Warm-started restricted master: keep the optimal tableau alive, append
@@ -316,16 +327,18 @@ module Make (F : Field.S) = struct
 
     type t = master
 
-    let create ?(max_iters = 1_000_000) model =
-      match prepare model ~max_iters with
+    let create_on meter ~max_iters model =
+      match prepare model ~max_iters meter with
       | `Infeasible -> `Infeasible
       | `Feasible p ->
         let t = p.tab in
         let cost = model_cost model t in
         set_objective_row t cost;
-        (match iterate t ~enter_ok:(fun j -> j < t.art_start) ~max_iters with
+        (match iterate t ~enter_ok:(fun j -> j < t.art_start) ~max_iters meter with
          | `Unbounded -> `Unbounded
          | `Optimal -> `Optimal { p; orig_cols = t.cols; max_iters; cost; appended = 0 })
+
+    let create ?(max_iters = 1_000_000) model = metered (fun m -> create_on m ~max_iters model)
 
     let objective rm = F.neg rm.p.tab.objrow.(rm.p.tab.cols)
     let duals rm = extract_duals rm.p
@@ -409,11 +422,13 @@ module Make (F : Field.S) = struct
 
     (* The basis is still feasible after appends (new variables sit
        nonbasic at 0), so plain primal iterations finish the job. *)
-    let reoptimize rm =
+    let reoptimize_on meter rm =
       let t = rm.p.tab in
       iterate t
         ~enter_ok:(fun j -> j < t.art_start || j >= rm.orig_cols)
-        ~max_iters:rm.max_iters
+        ~max_iters:rm.max_iters meter
+
+    let reoptimize rm = metered (fun m -> reoptimize_on m rm)
   end
 end
 
@@ -831,11 +846,131 @@ module type RESTRICTED = sig
   val reoptimize : t -> [ `Optimal | `Unbounded ]
 end
 
+(* The exact solver pivots on {!Field.Word} first. Every word entry is the
+   boxed entry, so the pivots are the boxed ones until a value leaves the
+   word range; then the boxed field takes over from the input, and only
+   its pivots are reported. *)
 module Exact = struct
-  module M = Make (Field.Rat)
+  module W = Make (Field.Word)
+  module R = Make (Field.Rat)
 
-  let solve = M.solve
-  module Restricted = M.Restricted
+  let fallback_count = Atomic.make 0
+  let fallbacks () = Atomic.get fallback_count
+  let rat = Field.Word.to_rat
+
+  (* Run [f] on words: report its pivots when it returns or raises, or,
+     when a value overflows, drop them and run [fallback] instead. *)
+  let on_words f ~fallback =
+    let m = { pivots = 0 } in
+    match f m with
+    | r ->
+      Spp_obs.Profile.add_pivots m.pivots;
+      r
+    | exception Field.Word.Overflow ->
+      Atomic.incr fallback_count;
+      fallback ()
+    | exception e ->
+      Spp_obs.Profile.add_pivots m.pivots;
+      raise e
+
+  let solve model =
+    on_words
+      (fun m ->
+        match W.solve_on m model ~max_iters:1_000_000 with
+        | Optimal { objective; solution; duals } ->
+          Optimal
+            { objective = rat objective; solution = Array.map rat solution;
+              duals = Array.map rat duals }
+        | Infeasible -> Infeasible
+        | Unbounded -> Unbounded)
+      ~fallback:(fun () -> R.solve model)
+
+  module Restricted = struct
+    (* A step the word master took after [create]; the log is newest
+       first. *)
+    type step = Append of Spp_num.Rat.t * (int * Spp_num.Rat.t) list | Reoptimize
+
+    type state = Word of W.Restricted.t | Boxed of R.Restricted.t
+
+    type t = {
+      model : Model.t;
+      max_iters : int;
+      mutable state : state;
+      mutable steps : step list;  (* kept while on words *)
+    }
+
+    let create ?(max_iters = 1_000_000) model =
+      let model = Model.copy model in
+      let master state = `Optimal { model; max_iters; state; steps = [] } in
+      on_words
+        (fun m ->
+          match W.Restricted.create_on m ~max_iters model with
+          | `Optimal w -> master (Word w)
+          | (`Infeasible | `Unbounded) as r -> r)
+        ~fallback:(fun () ->
+          match R.Restricted.create ~max_iters model with
+          | `Optimal b -> master (Boxed b)
+          | (`Infeasible | `Unbounded) as r -> r)
+
+    (* Leave words for good: a boxed master retraces the logged steps from
+       the model, on a meter nobody reads (the word master reported those
+       pivots), and takes over. *)
+    let box rm =
+      let quiet = { pivots = 0 } in
+      match R.Restricted.create_on quiet ~max_iters:rm.max_iters rm.model with
+      | `Infeasible | `Unbounded -> assert false (* words reached an optimum on these pivots *)
+      | `Optimal b ->
+        List.iter
+          (function
+            | Append (obj, entries) -> ignore (R.Restricted.add_column b ~obj ~entries)
+            | Reoptimize -> ignore (R.Restricted.reoptimize_on quiet b))
+          (List.rev rm.steps);
+        rm.state <- Boxed b;
+        rm.steps <- [];
+        b
+
+    let objective rm =
+      match rm.state with
+      | Word w -> rat (W.Restricted.objective w)
+      | Boxed b -> R.Restricted.objective b
+
+    let solution rm =
+      match rm.state with
+      | Word w -> Array.map rat (W.Restricted.solution w)
+      | Boxed b -> R.Restricted.solution b
+
+    let duals rm =
+      match rm.state with
+      | Word w -> Array.map rat (W.Restricted.duals w)
+      | Boxed b -> R.Restricted.duals b
+
+    let num_appended rm =
+      match rm.state with
+      | Word w -> W.Restricted.num_appended w
+      | Boxed b -> R.Restricted.num_appended b
+
+    let add_column rm ~obj ~entries =
+      match rm.state with
+      | Boxed b -> R.Restricted.add_column b ~obj ~entries
+      | Word w ->
+        on_words
+          (fun _ ->
+            let r = W.Restricted.add_column w ~obj ~entries in
+            if r = `Added then rm.steps <- Append (obj, entries) :: rm.steps;
+            r)
+          ~fallback:(fun () -> R.Restricted.add_column (box rm) ~obj ~entries)
+
+    let reoptimize rm =
+      match rm.state with
+      | Boxed b -> R.Restricted.reoptimize b
+      | Word w ->
+        on_words
+          (fun m ->
+            let r = W.Restricted.reoptimize_on m w in
+            rm.steps <- Reoptimize :: rm.steps;
+            r)
+          ~fallback:(fun () -> R.Restricted.reoptimize (box rm))
+  end
 end
 
 module Approx = struct

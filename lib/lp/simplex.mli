@@ -38,7 +38,30 @@
 
     {!Reference} keeps the dense tableau this replaced, over exact
     rationals: the oracle for the tests, the [diff.simplex] fuzz
-    property and bench row T9r, and on no production path. *)
+    property and bench row T9r, and on no production path.
+
+    {2 On one-word rationals}
+
+    {!Exact} runs [Make (Field.Word)], whose values are normalised
+    rationals with both parts below 2{^30} packed into one immediate
+    int, and converts its results to {!Spp_num.Rat}. Each word operation
+    returns exactly the value {!Field.Rat} returns or raises
+    {!Field.Word.Overflow}, and [is_zero] and [compare] agree with Rat's,
+    so up to an overflow every tableau entry, pivot choice, ratio-test
+    tie, dropped row, dual, solution and pivot count is the boxed one.
+
+    When the model or an intermediate value leaves the word range,
+    {!Exact.solve} drops the attempt and re-solves with
+    [Make (Field.Rat)]. An {!Exact.Restricted} master builds a boxed
+    master from its (copied) model, replays its logged appends and
+    reoptimizes in order, takes the failing step there and stays boxed.
+    So the input alone decides which field answers, and the answer is
+    the same either way. {!Exact.fallbacks} counts these events.
+
+    Pivots reach {!Spp_obs.Profile} once per [solve], [create] or
+    [reoptimize], on every exit path. An abandoned word attempt's pivots
+    are dropped and a replay's are not reported again, so the profile
+    always reads what the boxed solver (and {!Reference}) reports. *)
 
 type 'a result =
   | Optimal of { objective : 'a; solution : 'a array; duals : 'a array }
@@ -121,11 +144,18 @@ module type RESTRICTED = sig
   val reoptimize : t -> [ `Optimal | `Unbounded ]
 end
 
-(** Exact solver over rationals. *)
+(** Exact solver over rationals, pivoting on {!Field.Word} and falling
+    back to {!Field.Rat} (see the header). *)
 module Exact : sig
   val solve : Model.t -> Spp_num.Rat.t result
 
+  (** [create] copies its model, so changing the model afterwards does not
+      reach the master. *)
   module Restricted : RESTRICTED
+
+  (** Word attempts abandoned for the boxed field so far in this process:
+      one per {!solve} and at most one per master. *)
+  val fallbacks : unit -> int
 end
 
 (** Floating-point solver (tolerance-based pivoting). *)

@@ -31,9 +31,15 @@ val cancel : t -> unit
 
 val cancelled : t -> bool
 
-(** [check t] raises {!Cancelled} iff the token has tripped. Each call
-    also bumps the token's poll count (except on {!never}, whose single
-    shared cache line must stay read-only on the hot path). *)
+(** [check t] raises {!Cancelled} once the token has tripped. It reads the
+    cancel flag at every call but the clock only at the token's first call
+    and every 64th after it, so a passed deadline is noticed at most 64
+    polls late (never early), and a poll that notices it latches the flag:
+    every later [check], on any domain, raises at once. An explicit
+    {!cancel} is noticed at the next poll. Each call also bumps the
+    token's poll count (except on {!never}, whose single shared cache line
+    must stay read-only on the hot path). {!cancelled} and
+    {!remaining_ms} still read the clock at every call. *)
 val check : t -> unit
 
 (** [polls t] is the number of {!check} calls made against [t] so far —

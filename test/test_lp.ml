@@ -302,21 +302,28 @@ let covering_model columns =
 
 (* The master's optimum after create and after each append + reoptimize,
    and its final optimum. *)
-let master_steps (module R : Simplex.RESTRICTED) start appended =
+let master_steps ?(model = covering_model) ?(after = ignore) (module R : Simplex.RESTRICTED) start
+    appended =
   let state rm = optimum (R.objective rm) (R.solution rm) (R.duals rm) in
-  match with_pivots (fun () -> R.create (covering_model start)) with
+  match with_pivots (fun () -> R.create (model start)) with
   | (`Infeasible | `Unbounded), _ -> Alcotest.fail "covering master has no optimum"
   | `Optimal rm, p ->
     let created = Printf.sprintf "create: %d pivots, %s" p (state rm) in
+    after 0;
+    (* An append's pivots include any its [add_column] reports. *)
+    let append obj entries =
+      match R.add_column rm ~obj ~entries with
+      | `Needs_rebuild -> Alcotest.fail "covering master dropped a row"
+      | `Added -> R.reoptimize rm
+    in
     let steps =
       List.mapi
         (fun k (obj, entries) ->
-          match R.add_column rm ~obj ~entries with
-          | `Needs_rebuild -> Alcotest.fail "covering master dropped a row"
-          | `Added ->
-            (match with_pivots (fun () -> R.reoptimize rm) with
-             | `Unbounded, _ -> Alcotest.fail "covering master unbounded"
-             | `Optimal, p -> Printf.sprintf "append %d: %d pivots, %s" (k + 1) p (state rm)))
+          match with_pivots (fun () -> append obj entries) with
+          | `Unbounded, _ -> Alcotest.fail "covering master unbounded"
+          | `Optimal, p ->
+            after (k + 1);
+            Printf.sprintf "append %d: %d pivots, %s" (k + 1) p (state rm))
         appended
     in
     (created :: steps, state rm)
@@ -349,6 +356,85 @@ let test_restricted_many_appends () =
   | Simplex.Optimal { objective; solution; duals } ->
     Alcotest.(check string) "cold solve of the full model" (optimum objective solution duals) final
   | Simplex.Infeasible | Simplex.Unbounded -> Alcotest.fail "full covering model has no optimum"
+
+(* ------------------------------------------------------------------ *)
+(* The word path's fallback to boxed rationals *)
+
+(* [f ()], checking that it moved [Exact.fallbacks] by exactly one. *)
+let falls_back_once f =
+  let before = Simplex.Exact.fallbacks () in
+  let out = f () in
+  Alcotest.(check int) "one fallback" 1 (Simplex.Exact.fallbacks () - before);
+  out
+
+let fits_word c =
+  match Spp_lp.Field.Word.of_rat c with _ -> true | exception Spp_lp.Field.Word.Overflow -> false
+
+(* The Exact master's steps, checked against Reference's, and the
+   fallbacks counted after each step (0 = create). *)
+let steps_as_reference ?model start appended =
+  let base = Simplex.Exact.fallbacks () in
+  let seen = ref [] in
+  let after k = seen := (k, Simplex.Exact.fallbacks () - base) :: !seen in
+  let fast, _ = master_steps ?model ~after (module Simplex.Exact.Restricted) start appended in
+  let slow, _ = master_steps ?model (module Simplex.Reference.Restricted) start appended in
+  Alcotest.(check (list string)) "every step as Reference" slow fast;
+  List.rev !seen
+
+let test_fallback_at_load () =
+  (* 2^30 is one past the word range: the model cannot even load. *)
+  let m = Model.create () in
+  let x = Model.add_var m ~name:"x" in
+  let y = Model.add_var m ~name:"y" in
+  Model.set_objective m [ (x, qi (-2)); (y, qi (-1)) ];
+  Model.add_constraint m ~name:"wide"
+    [ (x, qi (1 lsl 30)); (y, qi (1 lsl 30)) ]
+    Model.Le (qi (1 lsl 31));
+  Model.add_constraint m ~name:"box" [ (x, qi 1) ] Model.Le (qi 3);
+  let objective, solution = falls_back_once (fun () -> solve_exact m) in
+  check_q "objective" (qi (-4)) objective;
+  Alcotest.(check string) "solution" "2 0" (vec solution)
+
+(* Every entry fits a word, but phase 1 eliminates x or y between rows
+   u and v, which leaves 1 - 1/65537^2: its denominator is past 2^30. *)
+let overflowing_covering start =
+  let m = covering_model start in
+  let x = Model.add_var m ~name:"x" and y = Model.add_var m ~name:"y" in
+  Model.add_constraint m ~name:"u" [ (x, q 1 65537); (y, qi 1) ] Model.Ge (qi 1);
+  Model.add_constraint m ~name:"v" [ (x, qi 1); (y, q 1 65537) ] Model.Ge (qi 1);
+  m
+
+let test_fallback_in_create () =
+  let start = [ (qi 20, List.init covering_rows (fun i -> (i, qi 1))) ] in
+  List.iter
+    (fun (_, terms, _, rhs) ->
+      List.iter (fun (_, c) -> Alcotest.(check bool) "entry fits a word" true (fits_word c)) terms;
+      Alcotest.(check bool) "rhs fits a word" true (fits_word rhs))
+    (Model.constraints (overflowing_covering start));
+  let appended = [ (qi 7, [ (0, qi 2); (1, qi 1) ]); (qi 5, [ (2, qi 1); (3, qi 3) ]) ] in
+  Alcotest.(check (list (pair int int)))
+    "one fallback, in create" [ (0, 1); (1, 1); (2, 1) ]
+    (steps_as_reference ~model:overflowing_covering start appended)
+
+let test_fallback_on_kth_append () =
+  (* The fifth column costs 1/1000003 and has 1/999983 in row 0: its
+     reduced cost has a denominator near 2^40. The boxed master retraces
+     create and appends 1-4 with their reoptimizes, reports none of those
+     pivots again, and takes appends 5-8. *)
+  let start =
+    [ (qi 20, List.init covering_rows (fun i -> (i, qi 1))); (qi 9, [ (0, qi 2); (2, qi 1) ]);
+      (qi 9, [ (1, qi 1); (3, qi 2) ]) ]
+  in
+  let column k = (qi (3 + k), [ (k mod covering_rows, qi 2); ((k + 1) mod covering_rows, qi 1) ]) in
+  let appended =
+    List.init 4 column
+    @ [ (q 1 1000003, [ (0, q 1 999983); (1, qi 1) ]) ]
+    @ List.init 3 (fun k -> column (k + 4))
+  in
+  Alcotest.(check (list (pair int int)))
+    "fallbacks after each step: none before append 5, one from it on"
+    (List.init 9 (fun k -> (k, if k < 5 then 0 else 1)))
+    (steps_as_reference start appended)
 
 (* ------------------------------------------------------------------ *)
 (* Structural properties on random LPs *)
@@ -447,6 +533,12 @@ let () =
         [
           Alcotest.test_case "dropped row needs rebuild" `Quick test_restricted_dropped_row;
           Alcotest.test_case "70 appends equal Reference" `Quick test_restricted_many_appends;
+        ] );
+      ( "fallback",
+        [
+          Alcotest.test_case "overflow at load" `Quick test_fallback_at_load;
+          Alcotest.test_case "overflow inside create" `Quick test_fallback_in_create;
+          Alcotest.test_case "overflow on the 5th append" `Quick test_fallback_on_kth_append;
         ] );
       ( "simplex-props",
         qt [ prop_optimum_feasible_and_basic; prop_exact_matches_float;

@@ -406,6 +406,54 @@ let test_cancel_deadline_virtual () =
       Alcotest.(check bool) "tripped past deadline" true (Cancel.cancelled t);
       Alcotest.(check (option (float 0.0))) "no budget left" (Some 0.0) (Cancel.remaining_ms t))
 
+(* [check] reads the clock only at a token's first poll and every 64th
+   after it; these pin the bound and the latch on a frozen clock. *)
+let raises t = match Cancel.check t with () -> false | exception Cancel.Cancelled -> true
+
+let test_cancel_poll_expired_at_birth () =
+  with_frozen_clock (fun () ->
+      let t = Cancel.with_deadline_ms 0.0 in
+      Alcotest.(check bool) "first check raises" true (raises t);
+      Alcotest.(check int) "one poll" 1 (Cancel.polls t))
+
+let test_cancel_poll_mid_run () =
+  (* The deadline passes after [before] polls, for every phase of the
+     64-poll stride: no poll raises before it, one of the next 64 does. *)
+  with_frozen_clock (fun () ->
+      for before = 0 to 130 do
+        let t = Cancel.with_deadline_ms 10.0 in
+        for _ = 1 to before do
+          if raises t then Alcotest.failf "raised before the deadline (after %d polls)" before
+        done;
+        ignore (Clock.advance 9.5);
+        for _ = 1 to 200 do
+          if raises t then Alcotest.failf "raised 0.5 ms early (after %d polls)" before
+        done;
+        ignore (Clock.advance 0.5);
+        let late = ref 1 in
+        while !late <= 64 && not (raises t) do
+          incr late
+        done;
+        if !late > 64 then
+          Alcotest.failf "raised %d polls after the deadline (after %d polls)" !late before
+      done)
+
+let test_cancel_poll_latch () =
+  (* Once a poll has seen the deadline pass, every later poll raises,
+     including the 63 in each stride that do not read the clock. *)
+  with_frozen_clock (fun () ->
+      let t = Cancel.with_deadline_ms 10.0 in
+      Alcotest.(check bool) "live at the first poll" false (raises t);
+      ignore (Clock.advance 20.0);
+      let polls = ref 0 in
+      while !polls < 64 && not (raises t) do
+        incr polls
+      done;
+      for i = 1 to 200 do
+        if not (raises t) then Alcotest.failf "poll %d after the latch did not raise" i
+      done;
+      Alcotest.(check bool) "cancelled" true (Cancel.cancelled t))
+
 (* ------------------------------------------------------------------ *)
 (* Deadline: propagated-budget arithmetic, entirely under the virtual
    clock — not one sleep. *)
@@ -548,7 +596,10 @@ let () =
         ] );
       ( "cancel",
         [ Alcotest.test_case "deadline already passed" `Quick test_cancel_deadline_now;
-          Alcotest.test_case "deadline under virtual clock" `Quick test_cancel_deadline_virtual ] );
+          Alcotest.test_case "deadline under virtual clock" `Quick test_cancel_deadline_virtual;
+          Alcotest.test_case "poll: expired at birth" `Quick test_cancel_poll_expired_at_birth;
+          Alcotest.test_case "poll: deadline within 64 polls" `Quick test_cancel_poll_mid_run;
+          Alcotest.test_case "poll: latched" `Quick test_cancel_poll_latch ] );
       ( "deadline",
         [ Alcotest.test_case "pin and spend per hop" `Quick test_deadline_pin_and_spend;
           Alcotest.test_case "wont-make-it floor" `Quick test_deadline_floor;
