@@ -1,6 +1,6 @@
 (* Experiment harness: regenerates every figure/theorem-level claim of the
    paper as a printed table (E1..E12 of DESIGN.md / EXPERIMENTS.md), plus
-   Bechamel timing benches (T1..T11).
+   Bechamel timing benches (T1..T12).
 
    Each experiment also writes its tables as BENCH_e<N>.json next to the
    working directory, so tooling reads metric values without scraping text.
@@ -676,7 +676,7 @@ let e13 () =
 module Boxed_simplex = Spp_lp.Simplex.Make (Spp_lp.Field.Rat)
 
 let timing () =
-  section "T1-T11  Timing (Bechamel; ns per run, linear-regression estimate)";
+  section "T1-T12  Timing (Bechamel; ns per run, linear-regression estimate)";
   let open Bechamel in
   let open Toolkit in
   let rng = Prng.create 99 in
@@ -689,6 +689,13 @@ let timing () =
   (* The offline_batch sizes: DC at n = 1024, F at n = 512 (uniform). *)
   let inst1024 = Generators.random_prec rng ~n:1024 ~k:8 ~h_den:4 ~shape:`Layered in
   let uinst512 = Generators.random_uniform_prec rng ~n:512 ~k:8 ~shape:`Layered in
+  (* The offline_batch simulator jobs: one n = 1000, K = 8 poisson:2.0
+     trace, first-fit with repacking at 1/4 and buffered:4. *)
+  let sim_trace = Spp_sim.Arrivals.trace ~n:1000 ~k:8 ~seed:1 (Spp_sim.Arrivals.Poisson 2.0) in
+  let sim_jobs run =
+    ignore (run ?repack_threshold:(Some (Q.of_ints 1 4)) ~packer:Spp_sim.Online.First_fit sim_trace);
+    ignore (run ?repack_threshold:None ~packer:(Spp_sim.Online.Buffered 4) sim_trace)
+  in
   let lp_model =
     (* A medium LP: the APTAS configuration LP for rinst after reduction. *)
     let p_rw =
@@ -761,6 +768,13 @@ let timing () =
         (Staged.stage (fun () -> ignore (Uniform.next_fit_shelf uinst512)));
       Test.make ~name:"T11r algorithm-F reference"
         (Staged.stage (fun () -> ignore (Uniform.Reference.next_fit_shelf uinst512)));
+      Test.make ~name:"T12 online sim, two jobs"
+        (Staged.stage (fun () ->
+             sim_jobs (fun ?repack_threshold ~packer i -> Spp_sim.Sim.run ?repack_threshold ~packer i)));
+      Test.make ~name:"T12r online sim reference"
+        (Staged.stage (fun () ->
+             sim_jobs (fun ?repack_threshold ~packer i ->
+                 Spp_sim.Sim.Reference.run ?repack_threshold ~packer i)));
     ]
   in
   let benchmark test =

@@ -677,19 +677,29 @@ let corrupt_log rng (r : Spp_sim.Sim.report) =
     let i = Spp_util.Prng.int rng n in
     let stretch = Q.of_ints (1 + Spp_util.Prng.int rng 4) 2 in
     let one f = with_segs (fun k s -> if k = i then f s else s) in
+    (* Two ids the run does not have: one segment of [a] after the i-th,
+       then [b] and [a] again at the end. *)
+    let a = 1 + Array.fold_left (fun m s -> max m s.S.seg_id) min_int segs in
+    let phantom id = { segs.(i) with S.seg_id = id } in
+    let phantoms =
+      List.concat (List.mapi (fun k s -> if k = i then [ s; phantom a ] else [ s ]) (Array.to_list segs))
+      @ [ phantom (a + 1); phantom a ]
+    in
     [ ("as run", r);
       ("all on column 0", with_segs (fun _ s -> { s with S.seg_lo = 0 }));
       ("one zero-length", one (fun s -> { s with S.seg_to = s.S.seg_from }));
       ("all zero-length", with_segs (fun _ s -> { s with S.seg_to = s.S.seg_from }));
       ("one stretched", one (fun s -> { s with S.seg_to = Q.add s.S.seg_to stretch }));
-      ("all stretched", with_segs (fun _ s -> { s with S.seg_to = Q.add s.S.seg_to stretch })) ]
+      ("all stretched", with_segs (fun _ s -> { s with S.seg_to = Q.add s.S.seg_to stretch }));
+      ("phantom tasks", { r with Spp_sim.Sim.segments = phantoms }) ]
   end
 
 let diff_sim_check =
   prop "diff.sim.check"
     "Sim.check (one sweep over time) returns exactly the reference's violation list, order \
      included, on first-fit and repacking segment logs and on seeded corruptions: every \
-     segment on column 0, and segments made zero-length or stretched"
+     segment on column 0, segments made zero-length or stretched, and segments of tasks the \
+     instance does not have"
     [ "release"; "validate" ]
     (on_release (fun inst ->
          let rng = Spp_util.Prng.create (stream_seed_of (Io.Release inst)) in
@@ -794,6 +804,190 @@ let diff_order =
                fun () ->
                  Printf.sprintf "scaling y changed the tree: %s nodes"
                    (String.concat " / " (List.map string_of_int nodes))) ]))
+
+(* ------------------------------------------------------------------ *)
+(* Differential: the simulator on ticks vs the rational loop *)
+
+(* Every field of a report, then each repack event and each segment, in
+   order, one line each. *)
+let report_lines (r : Spp_sim.Sim.report) =
+  let open Spp_sim.Sim in
+  let module S = Spp_sim.Strip_state in
+  Printf.sprintf
+    "k %d, tasks %d, widened %d, makespan %s, total wait %s, max pending %d, placements %d, \
+     moves %d, cells migrated %d, migration cost %s, frag peak %s, frag mean %s"
+    r.k r.tasks r.widened (qs r.makespan) (qs r.total_wait) r.max_pending r.placements r.moves
+    r.cells_migrated (qs r.migration_cost) (qs r.frag_peak) (qs r.frag_mean)
+  :: List.map
+       (fun e ->
+         Printf.sprintf "repack at %s: frag %s -> %s, %d moved, %d cells" (qs e.at)
+           (qs e.frag_before) (qs e.frag_after) e.moved e.cells)
+       r.repacks
+  @ List.map
+      (fun (g : S.segment) ->
+        Printf.sprintf "segment %d: %d cols at %d over [%s, %s)" g.S.seg_id g.S.seg_cols g.S.seg_lo
+          (qs g.S.seg_from) (qs g.S.seg_to))
+      r.segments
+
+(* A release instance from [rng]: n in 32..400 tasks on K in 1..16
+   columns (63..80 in one case out of 8), heights in quarters or thirds,
+   Poisson or burst releases in halves at 1, 2 or 4 tasks per unit of time,
+   and one width in four on a 2K grid, so odd numerators need widening. *)
+let sim_instance rng =
+  let module P = Spp_util.Prng in
+  let n = P.int_in rng 32 400 in
+  let k = if P.int rng 8 = 0 then P.int_in rng 63 80 else P.int_in rng 1 16 in
+  let rate = float_of_int (1 lsl P.int rng 3) in
+  let burst = if P.bool rng then P.int_in rng 2 8 else 1 in
+  let t = ref 0.0 in
+  let task id =
+    if id mod burst = 0 then t := !t +. P.exponential rng ~rate:(rate /. float_of_int burst);
+    let den = if P.bool rng then 4 else 3 in
+    let w =
+      if P.int rng 4 = 0 then Q.of_ints (P.int_in rng 2 (2 * k)) (2 * k)
+      else Q.of_ints (P.int_in rng 1 k) k
+    in
+    { I.Release.rect = Rect.make ~id ~w ~h:(Q.of_ints (P.int_in rng 1 den) den);
+      release = Q.of_ints (int_of_float (Float.round (!t *. 2.0))) 2 }
+  in
+  ( Printf.sprintf "drawn n = %d, K = %d, %s at %g" n k
+      (if burst = 1 then "poisson" else Printf.sprintf "bursts of %d" burst) rate,
+    I.Release.make ~k (List.init n task) )
+
+(* [inst] with every height and release times [factor] (below 1). *)
+let scale_times factor (inst : I.Release.t) =
+  match scale_y factor (Io.Release inst) with Io.Release inst -> inst | Io.Prec _ -> assert false
+
+(* The scale s of [inst] (the lcm of its height and release
+   denominators) and its horizon (max release + sum of heights) in ticks
+   of 1/s, as rationals. *)
+let sim_horizon (inst : I.Release.t) =
+  let module B = Spp_num.Bigint in
+  let tasks = inst.I.Release.tasks in
+  let h (t : I.Release.task) = t.I.Release.rect.Rect.h and r (t : I.Release.task) = t.I.Release.release in
+  let lcm a b = B.div (B.mul a b) (B.gcd a b) in
+  let s = List.fold_left (fun s t -> lcm (lcm s (Q.den (h t))) (Q.den (r t))) B.one tasks in
+  let last = List.fold_left (fun acc t -> Q.max acc (r t)) Q.zero tasks in
+  (s, Q.mul (Q.of_bigint s) (List.fold_left (fun acc t -> Q.add acc (h t)) last tasks))
+
+let two_60 = Q.of_bigint (Spp_num.Bigint.pow Spp_num.Bigint.two 60)
+
+(* The guard sim.mli states, on rationals: s fits a native int, and the
+   horizon in ticks times max(n, k), k·k, |a|·k and b·k for the threshold
+   a/b, and each width's numerator times k are at most 2^60, each width's
+   denominator fitting a native int. *)
+let sim_guard ?repack_threshold (inst : I.Release.t) =
+  let module B = Spp_num.Bigint in
+  let k = Q.of_int inst.I.Release.k in
+  let within q = Q.compare (Q.abs q) two_60 <= 0 in
+  let native b = B.compare b (B.of_int max_int) <= 0 in
+  let times_k b = within (Q.mul (Q.of_bigint b) k) in
+  let s, horizon = sim_horizon inst in
+  native s
+  && within (Q.mul horizon (Q.max k (Q.of_int (I.Release.size inst))))
+  && within (Q.mul k k)
+  && (match repack_threshold with None -> true | Some q -> times_k (Q.num q) && times_k (Q.den q))
+  && List.for_all
+       (fun (t : I.Release.task) ->
+         let w = t.I.Release.rect.Rect.w in
+         native (Q.den w) && times_k (Q.num w))
+       inst.I.Release.tasks
+
+(* Eight settings: every packer, each with a threshold (none, 1/100, 1/8,
+   1/4, 1/2, rotated by a drawn offset), a cost per cell of 1 or 3/2 and
+   an exact repack bound of 2 or 7. *)
+let sim_settings rng =
+  let thresholds = [| None; Some (Q.of_ints 1 100); Some (Q.of_ints 1 8); Some (Q.of_ints 1 4);
+                      Some (Q.of_ints 1 2) |] in
+  let offset = Spp_util.Prng.int rng 5 in
+  List.mapi
+    (fun i packer ->
+      ( packer,
+        thresholds.((i + offset) mod 5),
+        (if Spp_util.Prng.bool rng then Q.of_ints 3 2 else Q.one),
+        if Spp_util.Prng.bool rng then 7 else 2 ))
+    (Spp_sim.Online.First_fit :: List.init 7 (fun b -> Spp_sim.Online.Buffered (b + 1)))
+
+let diff_sim =
+  prop "diff.sim"
+    "Sim.run (on integer ticks) returns exactly what Sim.Reference.run (the rational loop) \
+     returns, every field, each repack event and each segment in order, under first-fit and \
+     buffered:1..7 with repack thresholds none, 1/100, 1/8, 1/4 and 1/2, on the case and on a \
+     drawn instance (n in 32..400, K in 1..16 or 63..80, heights in quarters and thirds, \
+     Poisson or burst releases, widths that need widening), also with every height and \
+     release times p/(p+1) for p = 2^20 - 3 (ticks, large values), p = 2^61 - 1 (the \
+     rational loop) and two p at the edge of the guard; Sim.on_kernel agrees with the guard \
+     computed on rationals, and the drawn instance takes the ticks except at p = 2^61 - 1"
+    [ "release"; "sim" ]
+    (fun parsed ->
+      let rng = Spp_util.Prng.create (stream_seed_of parsed) in
+      let label, drawn = sim_instance rng in
+      let settings = sim_settings rng in
+      let p_20 = 1_048_573 and p_61 = (1 lsl 61) - 1 in
+      (* The largest p with p times the horizon in ticks times [bound] at
+         most 2^60: times p/(p+1), the drawn instance's horizon grows by
+         p, or less where a denominator cancels. *)
+      let edge bound =
+        let _, horizon = sim_horizon drawn in
+        Spp_num.Bigint.to_int_exn (Q.floor (Q.div two_60 (Q.mul_int horizon bound)))
+      in
+      let n = I.Release.size drawn and k = drawn.I.Release.k in
+      let times p inst = scale_times (Q.of_ints p (p + 1)) inst in
+      (* The rational loop is the slow side, and slower on large
+         values: the scaled versions run the first four settings or the
+         first two. *)
+      let first m = List.filteri (fun i _ -> i < m) settings in
+      let versions =
+        (match parsed with
+         | Io.Release inst -> [ ("as generated", inst, None, settings) ]
+         | Io.Prec _ -> [])
+        @ [ (label, drawn, Some true, settings);
+            (label ^ ", times p/(p+1), p = 2^20 - 3", times p_20 drawn, Some true, first 4);
+            (label ^ ", times p/(p+1), p = 2^61 - 1", times p_61 drawn, Some false, first 2) ]
+        @ List.filter_map
+            (fun (what, bound) ->
+              let p = edge bound in
+              if p < 1 then None
+              else
+                Some
+                  ( Printf.sprintf "%s, times p/(p+1), p = %d (%s)" label p what,
+                    times p drawn, None, first 2 ))
+            [ ("at the guard", max n k); ("at k times the horizon", k) ]
+      in
+      all_pass
+        (List.concat_map
+           (fun (vlabel, inst, expect, settings) ->
+             List.concat_map
+               (fun (packer, repack_threshold, migration_cost, exact_repack_max) ->
+                 let setting =
+                   Printf.sprintf "%s, %s, repack %s, cost %s, exact max %d" vlabel
+                     (Spp_sim.Online.to_string packer)
+                     (match repack_threshold with None -> "off" | Some q -> qs q)
+                     (qs migration_cost) exact_repack_max
+                 in
+                 let on_kernel = Spp_sim.Sim.on_kernel ?repack_threshold inst in
+                 let guard = sim_guard ?repack_threshold inst in
+                 let got =
+                   report_lines
+                     (Spp_sim.Sim.run ?repack_threshold ~migration_cost ~exact_repack_max ~packer inst)
+                 and expect_lines =
+                   report_lines
+                     (Spp_sim.Sim.Reference.run ?repack_threshold ~migration_cost ~exact_repack_max
+                        ~packer inst)
+                 in
+                 [ ( on_kernel = guard,
+                     fun () ->
+                       Printf.sprintf "%s: on_kernel %b, the guard on rationals %b" setting on_kernel
+                         guard );
+                   ( (match expect with None -> true | Some e -> on_kernel = e),
+                     fun () -> Printf.sprintf "%s: on_kernel %b" setting on_kernel );
+                   ( got = expect_lines,
+                     fun () ->
+                       Printf.sprintf "%s: %d lines, reference %d; first difference %s" setting
+                         (List.length got) (List.length expect_lines)
+                         (first_difference Fun.id got expect_lines) ) ])
+               settings)
+           versions))
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the exact simplex vs the dense reference tableau *)
@@ -1427,7 +1621,7 @@ let all =
     diff_engine; sound_engine_degraded;
     meta_relabel; meta_edge_drop; meta_release_slacken;
     sound_sim_ff; sound_sim_buffered; sound_sim_repack; sim_stream;
-    diff_validate; diff_sim_check; diff_hitpath; diff_order; diff_simplex; diff_word; diff_dc;
+    diff_validate; diff_sim_check; diff_sim; diff_hitpath; diff_order; diff_simplex; diff_word; diff_dc;
     diff_f;
   ]
 

@@ -48,7 +48,12 @@
     ratio at or above 1 against the Section 3 (and certified APTAS)
     lower bounds, repack only with strict fragmentation decrease and
     honest per-cell cost accounting, and arrival streams replay bit for
-    bit from {!stream_seed_of}.
+    bit from {!stream_seed_of}. The loop on integer ticks ([diff.sim],
+    tag [sim]) returns what {!Spp_sim.Sim.Reference.run} returns, field
+    for field and segment for segment, under every packer and repack
+    threshold, on drawn instances scaled to large values, past the
+    guard and at its edges, and {!Spp_sim.Sim.on_kernel} agrees with
+    the guard recomputed on rationals.
 
     Every property takes an {!Spp_core.Io.parsed} instance and returns
     [Skip] when its guard (variant, uniformity, size gate for the

@@ -35,15 +35,6 @@ type outcome = {
   nodes_expanded : int;
 }
 
-(** [subset_sums values] is the deduplicated, sorted list of subset sums
-    of [values] (always including 0) — the normal-position ("corner")
-    grid the branch and bound enumerates on each axis. Exposed because
-    the same machinery prices candidate positions elsewhere: any packing
-    pushed left/down lands every edge on a subset sum, so a coordinate
-    outside this grid certifies that the item must move
-    ({!Spp_sim.Repack} uses exactly that as an admissible lower bound). *)
-val subset_sums : Spp_num.Rat.t list -> Spp_num.Rat.t list
-
 (** [solve inst] computes OPT(S, E) exactly. [cancel] (default
     {!Spp_util.Cancel.never}) is polled at every node of both the seeding
     order search and the normal-position DFS; a tripped token aborts with

@@ -1,5 +1,5 @@
 module Q = Spp_num.Rat
-module Bigint = Spp_num.Bigint
+module Scale = Spp_num.Scale
 module Rect = Spp_geom.Rect
 module Placement = Spp_geom.Placement
 module Skyline = Spp_geom.Skyline
@@ -102,38 +102,28 @@ type problem = {
   preds : int array array;
 }
 
-let limit = Bigint.pow (Bigint.of_int 2) 60
-
-let lcm a b = Bigint.mul (Bigint.div a (Bigint.gcd a b)) b
-
-(* [to_grid s q] is [q * s] as a native int; [s] is a multiple of [den q]
-   and the product is known to fit. *)
-let to_grid s q = Bigint.to_int_exn (Bigint.mul (Q.num q) (Bigint.div (Bigint.of_int s) (Q.den q)))
-
 (* The grid for [rects] with floors [releases], or [None] when the kernel
    cannot take them: a dimension outside what [Rect.make] allows, a
-   negative release, or a scale or a coordinate above 2^60. Every y is a
-   release or a sum of heights, so [ys * (max release + sum of heights)]
-   bounds them all; every x is at most [xs]. *)
+   negative release, an x scale or a coordinate above 2^60, or a y scale
+   past a native int. Every y is a release or a sum of heights, so
+   [ys * (max release + sum of heights)] bounds them all; every x is at
+   most [xs]. *)
 let grid (rects : Rect.t list) releases =
   let in_range (r : Rect.t) =
     Q.sign r.Rect.w > 0 && Q.compare r.Rect.w Q.one <= 0 && Q.sign r.Rect.h > 0
   in
   if not (List.for_all in_range rects && List.for_all (fun r -> Q.sign r >= 0) releases) then None
-  else begin
-    let scale qs = List.fold_left (fun acc q -> lcm acc (Q.den q)) Bigint.one qs in
-    let xs = scale (List.map (fun (r : Rect.t) -> r.Rect.w) rects) in
-    let ys = scale (List.map (fun (r : Rect.t) -> r.Rect.h) rects @ releases) in
-    let reach =
-      Q.add
-        (List.fold_left Q.max Q.zero releases)
-        (List.fold_left (fun acc (r : Rect.t) -> Q.add acc r.Rect.h) Q.zero rects)
-    in
-    if Bigint.compare xs limit <= 0
-       && Q.compare (Q.mul (Q.of_bigint ys) reach) (Q.of_bigint limit) <= 0
-    then Some (Bigint.to_int_exn xs, Bigint.to_int_exn ys)
-    else None
-  end
+  else
+    Scale.fits (fun () ->
+        let xs = Scale.scale (List.map (fun (r : Rect.t) -> r.Rect.w) rects) in
+        if xs > Scale.limit then raise Scale.Off_grid;
+        let ys = Scale.scale (List.map (fun (r : Rect.t) -> r.Rect.h) rects @ releases) in
+        let top = List.fold_left (fun acc r -> max acc (Scale.to_grid ys r)) 0 releases in
+        (* Summing the reach on the grid is the check. *)
+        ignore
+          (List.fold_left (fun acc (r : Rect.t) -> Scale.add acc (Scale.to_grid ys r.Rect.h)) top rects
+            : int);
+        (xs, ys))
 
 let problem rects releases preds =
   match grid rects releases with
@@ -142,9 +132,9 @@ let problem rects releases preds =
     let rects = Array.of_list rects in
     Some
       { rects; xs; ys;
-        w = Array.map (fun (r : Rect.t) -> to_grid xs r.Rect.w) rects;
-        h = Array.map (fun (r : Rect.t) -> to_grid ys r.Rect.h) rects;
-        release = Array.of_list (List.map (to_grid ys) releases);
+        w = Array.map (fun (r : Rect.t) -> Scale.to_grid xs r.Rect.w) rects;
+        h = Array.map (fun (r : Rect.t) -> Scale.to_grid ys r.Rect.h) rects;
+        release = Array.of_list (List.map (Scale.to_grid ys) releases);
         preds }
 
 let prec_problem (inst : Spp_core.Instance.Prec.t) =
@@ -255,10 +245,12 @@ let run ~cancel p =
     (* Newest first, like the reference's path list. *)
     let items = ref [] in
     for d = 0 to n - 1 do
-      let pos = { Placement.x = Q.of_ints st.best_x.(d) p.xs; y = Q.of_ints st.best_y.(d) p.ys } in
+      let pos =
+        { Placement.x = Scale.of_grid p.xs st.best_x.(d); y = Scale.of_grid p.ys st.best_y.(d) }
+      in
       items := { Placement.rect = p.rects.(st.best_order.(d)); pos } :: !items
     done;
-    { height = Q.of_ints st.best p.ys; placement = Placement.of_items !items;
+    { height = Scale.of_grid p.ys st.best; placement = Placement.of_items !items;
       nodes_expanded = st.nodes }
   end
 

@@ -33,13 +33,14 @@
 
     {2 Which path runs}
 
-    The input decides. Before searching, the kernel proves with
-    {!Spp_num.Bigint} that the x scale, and the y scale times
-    (max release + sum of heights), are at most 2{^60}; every coordinate
-    then fits a native int. It also needs each width in (0, 1], each
-    height positive and each release non-negative, as the instance
-    constructors guarantee. Any other input runs {!Reference}, which gives
-    the same answer on rationals, only slower. *)
+    The input decides. Before searching, the kernel proves on
+    {!Spp_num.Scale}'s checked native arithmetic that the x scale, and
+    the y scale times (max release + sum of heights), are at most
+    2{^60}; every coordinate then fits a native int. It also needs each
+    width in (0, 1], each height positive and each release non-negative,
+    as the instance constructors guarantee, and the y scale to fit a
+    native int. Any other input runs {!Reference}, which gives the same
+    answer on rationals, only slower. *)
 
 type outcome = {
   height : Spp_num.Rat.t;

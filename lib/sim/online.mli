@@ -14,7 +14,13 @@
     then flushes widest-first — trading latency for packing quality on
     bursts, where arrival order is adversarially interleaved. It never
     holds when the strip is idle, when the buffer overflows, or once the
-    stream ends, so it cannot deadlock. *)
+    stream ends, so it cannot deadlock.
+
+    {!step} runs on the tick strip over a {!queue} of arrival indices:
+    the pending tasks sit in a FIFO array, a flush orders them by a
+    stable counting sort on width, and placed entries are dropped in one
+    compaction, so a step allocates nothing. {!Reference.step} is the
+    list-based step over the rational strip, kept as the oracle. *)
 
 type t =
   | First_fit
@@ -28,13 +34,36 @@ val to_string : t -> string
 
 val default_lookahead : int
 
-(** [step policy strip ~pending ~more_arrivals] places whatever the
-    policy commits at the strip's current instant (mutating [strip]) and
-    returns [(placed, still_pending)]: each placed arrival is paired with
-    its column, [still_pending] preserves arrival order. *)
+(** The pending queue of a run on ticks. Arrival [i] of the run is
+    [(ids.(i), cols.(i), durations.(i))], with the duration in ticks and
+    [cols.(i) >= 1], and the index order is the arrival order. *)
+type queue
+
+(** [queue ~ids ~cols ~durations] is an empty queue over these arrivals. *)
+val queue : ids:int array -> cols:int array -> durations:int array -> queue
+
+(** [push q i] appends arrival [i]; each arrival is pushed at most once,
+    in index order. *)
+val push : queue -> int -> unit
+
+val length : queue -> int
+
+(** [step policy strip q ~more_arrivals ~placed] places whatever the
+    policy commits at the strip's current tick (mutating [strip]),
+    calls [placed i] for each placed arrival in placement order, and
+    leaves the rest in [q] in arrival order. *)
 val step :
-  t ->
-  Strip_state.t ->
-  pending:Arrivals.arrival list ->
-  more_arrivals:bool ->
-  (Arrivals.arrival * int) list * Arrivals.arrival list
+  t -> Strip_state.t -> queue -> more_arrivals:bool -> placed:(int -> unit) -> unit
+
+(** The list-based step on the rational strip. [step policy strip
+    ~pending ~more_arrivals] returns [(placed, still_pending)]: each
+    placed arrival paired with its column, in placement order, and the
+    rest in arrival order. *)
+module Reference : sig
+  val step :
+    t ->
+    Strip_state.Reference.t ->
+    pending:Arrivals.arrival list ->
+    more_arrivals:bool ->
+    (Arrivals.arrival * int) list * Arrivals.arrival list
+end

@@ -1,4 +1,5 @@
 module Q = Spp_num.Rat
+module Scale = Spp_num.Scale
 module I = Spp_core.Instance
 module Rect = Spp_geom.Rect
 module Placement = Spp_geom.Placement
@@ -31,7 +32,15 @@ type report = {
   segments : Strip_state.segment list;
 }
 
-let run_loop ?repack_threshold ~migration_cost ~exact_repack_max ~packer inst =
+(* ------------------------------------------------------------------ *)
+(* The rational loop this module started as: the oracle, and the path for
+   inputs off the tick grid *)
+
+let reference_run ?repack_threshold ?(migration_cost = Q.one) ?(exact_repack_max = 7) ~packer
+    inst =
+  let module Strip_state = Strip_state.Reference in
+  let module Online = Online.Reference in
+  let module Repack = Repack.Reference in
   let k = inst.I.Release.k in
   let arrivals, widened = Arrivals.of_instance inst in
   let arr = Array.of_list arrivals in
@@ -141,6 +150,207 @@ let run_loop ?repack_threshold ~migration_cost ~exact_repack_max ~packer inst =
     segments = Strip_state.segments strip;
   }
 
+(* ------------------------------------------------------------------ *)
+(* The loop on ticks *)
+
+(* A run's input on ticks of [1/s]: the arrivals sorted by (release,
+   id), as [Arrivals.of_instance] sorts them, and the threshold as
+   [(a, b)] for [a/b]. *)
+type ticks = {
+  s : int;
+  ids : int array;
+  cols : int array;
+  durations : int array;
+  releases : int array;
+  widened : int;
+  threshold : (int * int) option;
+}
+
+(* [inst] on ticks, or [None] when the kernel cannot take it: a width
+   outside (0, 1], a non-positive height, a negative release, or a value
+   that may pass Scale.limit. Every event tick is at most the horizon
+   (the strip is never idle while a task waits), so is every wait, and
+   an integral A_f is at most k times it; the threshold test and the
+   peak compare cross-products of k with a, b and k; a width a/b is
+   ceil (a * k / b) columns. *)
+let ticks ?repack_threshold (inst : I.Release.t) =
+  let k = inst.I.Release.k in
+  let in_range (t : I.Release.task) =
+    let r = t.I.Release.rect in
+    Q.sign r.Rect.w > 0 && Q.compare r.Rect.w Q.one <= 0 && Q.sign r.Rect.h > 0
+    && Q.sign t.I.Release.release >= 0
+  in
+  if k < 1 || not (List.for_all in_range inst.I.Release.tasks) then None
+  else
+    Scale.fits (fun () ->
+        let tasks = inst.I.Release.tasks in
+        let n = List.length tasks in
+        let s =
+          List.fold_left
+            (fun s (t : I.Release.task) ->
+              Scale.extend (Scale.extend s t.I.Release.rect.Rect.h) t.I.Release.release)
+            1 tasks
+        in
+        let ids = Array.make n 0 and cols = Array.make n 0 in
+        let durations = Array.make n 0 and releases = Array.make n 0 in
+        let widened = ref 0 in
+        List.iteri
+          (fun i (t : I.Release.task) ->
+            let r = t.I.Release.rect in
+            ids.(i) <- r.Rect.id;
+            releases.(i) <- Scale.to_grid s t.I.Release.release;
+            durations.(i) <- Scale.to_grid s r.Rect.h;
+            let b = Scale.extend 1 r.Rect.w in
+            let ak = Scale.mul (Scale.to_grid b r.Rect.w) k in
+            cols.(i) <- ak / b;
+            if ak mod b <> 0 then begin
+              cols.(i) <- cols.(i) + 1;
+              incr widened
+            end)
+          tasks;
+        let horizon = Array.fold_left Scale.add (Array.fold_left max 0 releases) durations in
+        ignore (Scale.mul horizon (max n k) + Scale.mul k k : int);
+        let threshold =
+          Option.map
+            (fun q ->
+              let b = Scale.extend 1 q in
+              let a = Scale.to_grid b q in
+              ignore (Scale.mul a k + Scale.mul b k : int);
+              (a, b))
+            repack_threshold
+        in
+        (* Generated traces come in arrival order already. *)
+        let later i j =
+          releases.(i) > releases.(j) || (releases.(i) = releases.(j) && ids.(i) > ids.(j))
+        in
+        let rec in_order i = i >= n || ((not (later (i - 1) i)) && in_order (i + 1)) in
+        let sorted =
+          if in_order 1 then Fun.id
+          else begin
+            let order = Array.init n Fun.id in
+            Array.sort (fun i j -> if later i j then 1 else if later j i then -1 else 0) order;
+            fun a -> Array.map (fun i -> a.(i)) order
+          end
+        in
+        { s; ids = sorted ids; cols = sorted cols; durations = sorted durations;
+          releases = sorted releases; widened = !widened; threshold })
+
+let on_kernel ?repack_threshold inst = Option.is_some (ticks ?repack_threshold inst)
+
+let tick_run (g : ticks) ~migration_cost ~exact_repack_max ~packer inst =
+  let k = inst.I.Release.k in
+  let n = Array.length g.ids in
+  let s = g.s and release = g.releases and duration = g.durations in
+  let queue = Online.queue ~ids:g.ids ~cols:g.cols ~durations:duration in
+  let strip = Strip_state.create ~k in
+  let ai = ref 0 in
+  let placements = ref 0 in
+  let total_wait = ref 0 in
+  let max_pending = ref 0 in
+  let makespan = ref 0 in
+  let repacks = ref [] in
+  (* Time-weighted fragmentation: the post-event value excess/free
+     (excess = free - largest run) holds until the next event, so
+     [area.(f)] sums excess * gap over the gaps with [f] free columns and
+     the integral is the sum of area.(f) / (f * s). The peak is the
+     fraction peak_num/peak_den. *)
+  let area = Array.make (k + 1) 0 in
+  let prev_time = ref 0 in
+  let prev_free = ref 0 in
+  let prev_excess = ref 0 in
+  let peak_num = ref 0 in
+  let peak_den = ref 1 in
+  let placed i =
+    incr placements;
+    let now = Strip_state.now strip in
+    total_wait := !total_wait + now - release.(i);
+    let finish = now + duration.(i) in
+    if finish > !makespan then makespan := finish
+  in
+  let step_at time =
+    area.(!prev_free) <- area.(!prev_free) + (!prev_excess * (time - !prev_time));
+    prev_time := time;
+    ignore (Strip_state.advance strip time : Strip_state.resident list);
+    while !ai < n && release.(!ai) <= time do
+      Online.push queue !ai;
+      incr ai
+    done;
+    if Online.length queue > !max_pending then max_pending := Online.length queue;
+    Online.step packer strip queue ~more_arrivals:(!ai < n) ~placed;
+    let free = ref (Strip_state.free_cols strip) in
+    let excess = ref (!free - Strip_state.largest_free_run strip) in
+    (match g.threshold with
+    | Some (a, b) when !excess > 0 && !excess * b >= a * !free ->
+      let plan = Repack.best ~max_residents:exact_repack_max strip in
+      if plan.Repack.moves <> [] then begin
+        Strip_state.apply_moves strip plan.Repack.moves;
+        repacks :=
+          { at = Scale.of_grid s time; frag_before = Q.of_ints !excess !free;
+            frag_after = Strip_state.fragmentation strip;
+            moved = List.length plan.Repack.moves; cells = plan.Repack.cells }
+          :: !repacks;
+        (* The consolidated gap may admit tasks that were just refused. *)
+        Online.step packer strip queue ~more_arrivals:(!ai < n) ~placed;
+        free := Strip_state.free_cols strip;
+        excess := !free - Strip_state.largest_free_run strip
+      end
+    | _ -> ());
+    prev_free := !free;
+    prev_excess := !excess;
+    if !excess * !peak_den > !peak_num * !free then begin
+      peak_num := !excess;
+      peak_den := !free
+    end
+  in
+  let rec drive () =
+    let t_fin = Strip_state.next_finish strip in
+    if !ai < n then begin
+      let t_arr = release.(!ai) in
+      step_at (if t_arr <= t_fin then t_arr else t_fin);
+      drive ()
+    end
+    else if t_fin < max_int then begin
+      step_at t_fin;
+      drive ()
+    end
+    else if Online.length queue > 0 then
+      failwith "Spp_sim.Sim: stalled with pending tasks and no events"
+  in
+  drive ();
+  (* Close the fragmentation integral at the makespan (the strip is empty
+     from the last finish on, and advance there retires nothing new). *)
+  let now = Strip_state.now strip in
+  step_at (if !makespan > now then !makespan else now);
+  let repacks = List.rev !repacks in
+  let moves = List.fold_left (fun a e -> a + e.moved) 0 repacks in
+  let cells = List.fold_left (fun a e -> a + e.cells) 0 repacks in
+  let frag_mean =
+    if !makespan > 0 then begin
+      let acc = ref Q.zero in
+      for f = 1 to k do
+        if area.(f) <> 0 then acc := Q.add !acc (Q.of_ints area.(f) f)
+      done;
+      Q.div !acc (Q.of_int !makespan)
+    end
+    else Q.zero
+  in
+  {
+    k;
+    tasks = n;
+    widened = g.widened;
+    makespan = Scale.of_grid s !makespan;
+    total_wait = Scale.of_grid s !total_wait;
+    max_pending = !max_pending;
+    placements = !placements;
+    repacks;
+    moves;
+    cells_migrated = cells;
+    migration_cost = Q.mul (Q.of_int cells) migration_cost;
+    frag_peak = Q.of_ints !peak_num !peak_den;
+    frag_mean;
+    segments = Strip_state.segments strip ~scale:s;
+  }
+
 let publish_metrics registry (r : report) =
   let c name by = Metrics.incr ~by (Metrics.counter registry name) in
   c "spp_sim_arrivals_total" r.tasks;
@@ -153,7 +363,11 @@ let publish_metrics registry (r : report) =
 
 let run ?registry ?trace ?repack_threshold ?(migration_cost = Q.one) ?(exact_repack_max = 7)
     ~packer inst =
-  let go () = run_loop ?repack_threshold ~migration_cost ~exact_repack_max ~packer inst in
+  let go () =
+    match ticks ?repack_threshold inst with
+    | Some g -> tick_run g ~migration_cost ~exact_repack_max ~packer inst
+    | None -> reference_run ?repack_threshold ~migration_cost ~exact_repack_max ~packer inst
+  in
   let r =
     match trace with
     | None -> go ()
@@ -180,6 +394,7 @@ type violation =
   | Too_narrow of int
   | Chain_gap of int
   | Missing of int
+  | Unknown_task of int
 
 let pp_violation ppf = function
   | Overlap (a, b) -> Format.fprintf ppf "tasks %d and %d overlap in time and columns" a b
@@ -188,11 +403,14 @@ let pp_violation ppf = function
   | Too_narrow id -> Format.fprintf ppf "task %d runs on fewer columns than its width needs" id
   | Chain_gap id -> Format.fprintf ppf "task %d has a broken or mis-sized segment chain" id
   | Missing id -> Format.fprintf ppf "task %d never ran" id
+  | Unknown_task id ->
+    Format.fprintf ppf "the log has segments of task %d, which is not in the instance" id
 
 let overlap_cols lo1 n1 lo2 n2 = lo1 < lo2 + n2 && lo2 < lo1 + n1
 
 (* Everything but overlaps: coverage, release floors, segment chains,
-   strip bounds and widths, task by task in instance order. *)
+   strip bounds and widths, task by task in instance order, then one
+   [Unknown_task] per id the instance lacks, in log order. *)
 let task_violations (inst : I.Release.t) (r : report) =
   let violations = ref [] in
   let add v = violations := v :: !violations in
@@ -237,6 +455,16 @@ let task_violations (inst : I.Release.t) (r : report) =
         if Q.compare (Q.of_ints first.Strip_state.seg_cols r.k) t.I.Release.rect.Rect.w < 0 then
           add (Too_narrow id))
     inst.I.Release.tasks;
+  (* What the instance's ids leave in [by_id] are the unknown ones. *)
+  List.iter (fun (t : I.Release.task) -> Hashtbl.remove by_id t.I.Release.rect.Rect.id)
+    inst.I.Release.tasks;
+  List.iter
+    (fun (s : Strip_state.segment) ->
+      if Hashtbl.mem by_id s.Strip_state.seg_id then begin
+        Hashtbl.remove by_id s.Strip_state.seg_id;
+        add (Unknown_task s.Strip_state.seg_id)
+      end)
+    r.segments;
   List.rev !violations
 
 (* Two segments of different tasks sharing an instant and a column. *)
@@ -273,9 +501,11 @@ let check (inst : I.Release.t) (r : report) =
   in
   task_violations inst r @ overlaps
 
-(* The pairwise segment loop: the oracle the differential tests compare
-   [check] with. *)
+(* The rational loop and the pairwise segment loop: the oracles the
+   differential tests compare [run] and [check] with. *)
 module Reference = struct
+  let run = reference_run
+
   let check (inst : I.Release.t) (r : report) =
     let violations = ref [] in
     let segs = Array.of_list r.segments in

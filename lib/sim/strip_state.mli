@@ -2,7 +2,7 @@
 
     The offline solvers see the whole instance and emit a placement; the
     online simulator instead owns a [k]-column strip evolving over a
-    virtual rational clock. A task committed at time [t] on columns
+    virtual clock. A task committed at time [t] on columns
     [\[col_lo, col_lo + cols)] runs there until [t + duration] — the
     commitment is irrevocable in {e time} (a started task is never
     preempted or delayed) but a repacking may {e relocate} its columns
@@ -13,19 +13,35 @@
     can be checked for soundness after the fact (no two segments overlap
     in time × columns, chains are gapless, releases respected) by
     {!Sim.check} — the online counterpart of
-    {!Spp_core.Validate}. *)
+    {!Spp_core.Validate}.
+
+    {2 Ticks}
+
+    The clock counts integer {e ticks}: {!Sim.run} picks a scale [s] (the
+    lcm of the instance's height and release denominators, see
+    {!Spp_num.Scale}) and tick [x] is strip time [x/s]. The strip keeps a
+    column mask, the free-column count and a min-heap of residents on
+    (finish, id), updated on every place, retire and move, so no query
+    rebuilds anything: {!next_finish} and {!free_cols} are O(1),
+    {!first_fit} and {!largest_free_run} one scan of the [k] columns.
+    Closed segments are logged as tick records and become rationals
+    only in {!segments}. The caller keeps every tick within
+    {!Spp_num.Scale.limit} (Sim's guard does), so no sum here wraps.
+
+    {!Reference} is the rational strip this module started as: the
+    oracle for the tests and the strip {!Sim.Reference.run} runs on. *)
 
 type resident = {
   id : int;
   cols : int;  (** column footprint (width · k) *)
   col_lo : int;  (** current leftmost column *)
-  started : Spp_num.Rat.t;  (** commit time (never changes, even on moves) *)
-  finish : Spp_num.Rat.t;  (** [started + duration] *)
+  started : int;  (** commit tick (never changes, even on moves) *)
+  finish : int;  (** [started + duration] *)
 }
 
 (** One maximal interval during which a task occupied a fixed column
-    range: [\[lo, lo + cols)] over [\[from_t, to_t)]. A task that is never
-    migrated has exactly one segment. *)
+    range: [\[lo, lo + cols)] over [\[from_t, to_t)], in strip time. A
+    task that is never migrated has exactly one segment. *)
 type segment = {
   seg_id : int;
   seg_cols : int;
@@ -36,23 +52,29 @@ type segment = {
 
 type t
 
-(** [create ~k] is an empty strip of [k] columns at time 0.
+(** [create ~k] is an empty strip of [k] columns at tick 0.
     @raise Invalid_argument if [k < 1]. *)
 val create : k:int -> t
 
 val k : t -> int
 
-(** Current virtual time. *)
-val now : t -> Spp_num.Rat.t
+(** Current tick. *)
+val now : t -> int
 
-(** [advance t time] moves the clock forward (monotone; equal is a no-op)
-    and retires every resident with [finish <= time], returning them in
+(** [advance t tick] moves the clock forward (monotone; equal is a no-op)
+    and retires every resident with [finish <= tick], returning them in
     (finish, id) order. Each retirement closes the resident's live
-    segment at its exact finish instant.
+    segment at its exact finish tick.
     @raise Invalid_argument on a backwards step. *)
-val advance : t -> Spp_num.Rat.t -> resident list
+val advance : t -> int -> resident list
 
+(** The earliest finish tick of a resident, [max_int] when the strip is
+    empty. *)
+val next_finish : t -> int
+
+(** The residents, by id. *)
 val residents : t -> resident list
+
 val resident_count : t -> int
 
 (** Columns not covered by any resident. *)
@@ -67,20 +89,17 @@ val largest_free_run : t -> int
     approaching 1 = free space shattered into slivers. *)
 val fragmentation : t -> Spp_num.Rat.t
 
-(** Float view of {!fragmentation} for reporting. *)
-val fragmentation_f : t -> float
-
 (** [first_fit t ~cols] is the leftmost [col_lo] with [cols] contiguous
     free columns, if any. @raise Invalid_argument if [cols] is not in
     [1..k]. *)
 val first_fit : t -> cols:int -> int option
 
 (** [place t ~id ~cols ~col_lo ~duration] commits a task at the current
-    time. Irrevocable: the task occupies its columns until
-    [now + duration].
+    tick for [duration] ticks. Irrevocable: the task occupies its columns
+    until [now + duration].
     @raise Invalid_argument on overlap, out-of-range columns, a
     non-positive duration, or a duplicate live id. *)
-val place : t -> id:int -> cols:int -> col_lo:int -> duration:Spp_num.Rat.t -> unit
+val place : t -> id:int -> cols:int -> col_lo:int -> duration:int -> unit
 
 (** [apply_moves t moves] relocates residents atomically: [moves] is a
     list of [(id, new_col_lo)]. The {e final} configuration is validated
@@ -94,6 +113,39 @@ val place : t -> id:int -> cols:int -> col_lo:int -> duration:Spp_num.Rat.t -> u
 val apply_moves : t -> (int * int) list -> unit
 
 (** All segments logged so far, closed ones in closing order, then live
-    ones (their [seg_to] is the resident's finish) — the complete
-    occupancy history of the run. *)
-val segments : t -> segment list
+    ones by id (their [seg_to] is the resident's finish) — the complete
+    occupancy history of the run, with tick [x] as time [x/scale]. *)
+val segments : t -> scale:int -> segment list
+
+(** The strip on a rational clock, with a table of residents from which
+    each query rebuilds the column occupancy: the differential-testing
+    oracle for the tick strip, and the strip of {!Sim.Reference.run}.
+    Same contracts as above, with times and durations in strip time. *)
+module Reference : sig
+  type resident = {
+    id : int;
+    cols : int;
+    col_lo : int;
+    started : Spp_num.Rat.t;
+    finish : Spp_num.Rat.t;
+  }
+
+  type t
+
+  val create : k:int -> t
+  val k : t -> int
+  val now : t -> Spp_num.Rat.t
+  val advance : t -> Spp_num.Rat.t -> resident list
+  val residents : t -> resident list
+  val resident_count : t -> int
+  val free_cols : t -> int
+  val largest_free_run : t -> int
+  val fragmentation : t -> Spp_num.Rat.t
+  val first_fit : t -> cols:int -> int option
+
+  val place :
+    t -> id:int -> cols:int -> col_lo:int -> duration:Spp_num.Rat.t -> unit
+
+  val apply_moves : t -> (int * int) list -> unit
+  val segments : t -> segment list
+end

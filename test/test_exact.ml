@@ -185,6 +185,23 @@ let test_kernel_fallback () =
   in
   ignore (same_prec ~kernel:false "heights 1/p" inst)
 
+let test_kernel_scale_past_native () =
+  (* Heights 1/p and 1/q for two primes near 2^32: the y scale pq passes
+     a native int, though the y scale times the reach, p + q, does not
+     pass 2^60. The search runs on rationals. *)
+  let task id p =
+    { I.Release.rect = Rect.make ~id ~w:(q 1 2) ~h:(Q.make Spp_num.Bigint.one (Spp_num.Bigint.of_int p));
+      release = Q.zero }
+  in
+  let inst = I.Release.make ~k:2 [ task 0 4_294_967_311; task 1 4_294_967_357 ] in
+  Alcotest.(check bool) "kernel path" false (Order_search.on_kernel_release inst);
+  let o =
+    same_as_reference "heights 1/p, 1/q"
+      (fun () -> Order_search.best_release inst)
+      (fun () -> Order_search.Reference.best_release inst)
+  in
+  Alcotest.(check string) "side by side" "1/4294967311" (Q.to_string o.Order_search.height)
+
 let test_kernel_cancel_mid_search () =
   (* About two million nodes. Another domain trips the token once the
      search has polled it 1000 times; the kernel must stop there with
@@ -422,6 +439,8 @@ let () =
         :: Alcotest.test_case "kernel: chain" `Quick test_kernel_chain
         :: Alcotest.test_case "kernel: width-1 rectangle" `Quick test_kernel_full_width
         :: Alcotest.test_case "kernel: falls back past 2^60" `Quick test_kernel_fallback
+        :: Alcotest.test_case "kernel: falls back past a native scale" `Quick
+             test_kernel_scale_past_native
         :: Alcotest.test_case "kernel: cancelled mid-search" `Quick test_kernel_cancel_mid_search
         :: qt
              [

@@ -399,6 +399,29 @@ let prop_rat_floor_bound =
       let f = Q.of_bigint (Q.floor a) in
       Q.compare f a <= 0 && Q.compare a (Q.add f Q.one) < 0)
 
+(* ------------------------------------------------------------------ *)
+(* Scale: the checked native grid *)
+
+let test_scale_bounds () =
+  let module S = Spp_num.Scale in
+  let off f = match f () with _ -> false | exception S.Off_grid -> true in
+  let two30 = 1 lsl 30 in
+  Alcotest.(check int) "2^30 * 2^30 is the limit" S.limit (S.mul two30 two30);
+  Alcotest.(check int) "negative at the limit" (-S.limit) (S.mul (-two30) two30);
+  Alcotest.(check bool) "(2^30 + 1) * 2^30 is off" true (off (fun () -> S.mul (two30 + 1) two30));
+  Alcotest.(check bool) "min_int is off" true (off (fun () -> S.mul min_int 1));
+  Alcotest.(check int) "add up to the limit" S.limit (S.add (S.limit - 1) 1);
+  Alcotest.(check bool) "add past the limit is off" true (off (fun () -> S.add S.limit 1));
+  Alcotest.(check int) "lcm of 4, 6, 3" 12 (S.scale [ Q.of_ints 1 4; Q.of_ints 5 6; Q.of_ints 2 3 ]);
+  Alcotest.(check int) "empty scale" 1 (S.scale []);
+  Alcotest.(check int) "5/6 on twelfths" 10 (S.to_grid 12 (Q.of_ints 5 6));
+  Alcotest.(check string) "back from the grid" "5/6" (Q.to_string (S.of_grid 12 10));
+  (* Two primes near 2^32: their lcm passes a native int. *)
+  Alcotest.(check bool) "scale past a native int" true
+    (S.fits (fun () -> S.scale [ Q.of_ints 1 4_294_967_311; Q.of_ints 1 4_294_967_357 ]) = None);
+  Alcotest.(check bool) "a grid value past the limit" true
+    (S.fits (fun () -> S.to_grid 2 (Q.of_ints (S.limit / 2 * 3) 2)) = None)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "spp_num"
@@ -447,6 +470,7 @@ let () =
           Alcotest.test_case "pow/min/max/abs" `Quick test_rat_pow_min_max;
           Alcotest.test_case "of_float_approx" `Quick test_rat_of_float_approx;
         ] );
+      ("scale", [ Alcotest.test_case "checked grid arithmetic" `Quick test_scale_bounds ]);
       ( "rat-props",
         qsuite
           [ prop_rat_add_assoc; prop_rat_mul_inverse; prop_rat_total_order; prop_rat_floor_bound;

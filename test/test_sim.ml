@@ -21,40 +21,40 @@ let q = Q.of_string
 let check_q msg expected actual = Alcotest.(check string) msg (Q.to_string expected) (Q.to_string actual)
 
 (* ------------------------------------------------------------------ *)
-(* Strip_state *)
+(* Strip_state (times and durations in ticks) *)
 
 let test_place_and_retire () =
   let s = Strip.create ~k:8 in
-  Strip.place s ~id:1 ~cols:3 ~col_lo:0 ~duration:(q "2");
-  Strip.place s ~id:2 ~cols:2 ~col_lo:3 ~duration:(q "1");
+  Strip.place s ~id:1 ~cols:3 ~col_lo:0 ~duration:2;
+  Strip.place s ~id:2 ~cols:2 ~col_lo:3 ~duration:1;
   Alcotest.(check int) "residents" 2 (Strip.resident_count s);
   Alcotest.(check int) "free cols" 3 (Strip.free_cols s);
-  let finished = Strip.advance s (q "1") in
+  let finished = Strip.advance s 1 in
   Alcotest.(check (list int)) "task 2 retires first" [ 2 ]
     (List.map (fun (r : Strip.resident) -> r.Strip.id) finished);
-  let finished = Strip.advance s (q "5") in
+  let finished = Strip.advance s 5 in
   Alcotest.(check (list int)) "task 1 retires" [ 1 ]
     (List.map (fun (r : Strip.resident) -> r.Strip.id) finished);
   Alcotest.(check int) "strip drained" 0 (Strip.resident_count s);
-  Alcotest.(check int) "segment per task" 2 (List.length (Strip.segments s))
+  Alcotest.(check int) "segment per task" 2 (List.length (Strip.segments s ~scale:1))
 
 let test_place_rejects_overlap () =
   let s = Strip.create ~k:4 in
-  Strip.place s ~id:1 ~cols:2 ~col_lo:1 ~duration:Q.one;
+  Strip.place s ~id:1 ~cols:2 ~col_lo:1 ~duration:1;
   List.iter
     (fun (id, cols, col_lo) ->
-      match Strip.place s ~id ~cols ~col_lo ~duration:Q.one with
+      match Strip.place s ~id ~cols ~col_lo ~duration:1 with
       | () -> Alcotest.failf "place %d accepted" id
       | exception Invalid_argument _ -> ())
     [ (2, 1, 2) (* overlaps *); (3, 2, 3) (* out of strip *); (1, 1, 0) (* duplicate id *) ];
-  match Strip.place s ~id:4 ~cols:1 ~col_lo:0 ~duration:Q.zero with
+  match Strip.place s ~id:4 ~cols:1 ~col_lo:0 ~duration:0 with
   | () -> Alcotest.fail "zero duration accepted"
   | exception Invalid_argument _ -> ()
 
 let test_first_fit_leftmost () =
   let s = Strip.create ~k:8 in
-  Strip.place s ~id:1 ~cols:2 ~col_lo:1 ~duration:Q.one;
-  Strip.place s ~id:2 ~cols:2 ~col_lo:5 ~duration:Q.one;
+  Strip.place s ~id:1 ~cols:2 ~col_lo:1 ~duration:1;
+  Strip.place s ~id:2 ~cols:2 ~col_lo:5 ~duration:1;
   (* Occupancy: .XX..XX.  — windows: 1 col at 0; 2 cols at 3. *)
   Alcotest.(check (option int)) "1 col fits at 0" (Some 0) (Strip.first_fit s ~cols:1);
   Alcotest.(check (option int)) "2 cols fit at 3" (Some 3) (Strip.first_fit s ~cols:2);
@@ -63,8 +63,8 @@ let test_first_fit_leftmost () =
 let test_fragmentation_metric () =
   let s = Strip.create ~k:8 in
   check_q "empty strip unfragmented" Q.zero (Strip.fragmentation s);
-  Strip.place s ~id:1 ~cols:1 ~col_lo:2 ~duration:Q.one;
-  Strip.place s ~id:2 ~cols:1 ~col_lo:5 ~duration:Q.one;
+  Strip.place s ~id:1 ~cols:1 ~col_lo:2 ~duration:1;
+  Strip.place s ~id:2 ~cols:1 ~col_lo:5 ~duration:1;
   (* Free = {0,1,3,4,6,7}: 6 free cols, largest run 2 -> 1 - 2/6. *)
   check_q "split free space" (q "2/3") (Strip.fragmentation s);
   Alcotest.(check int) "largest run" 2 (Strip.largest_free_run s)
@@ -73,9 +73,9 @@ let test_apply_moves_permutation () =
   (* A swap through each other's old columns must be validated as a final
      configuration, not move-by-move. *)
   let s = Strip.create ~k:4 in
-  Strip.place s ~id:1 ~cols:2 ~col_lo:0 ~duration:(q "2");
-  Strip.place s ~id:2 ~cols:2 ~col_lo:2 ~duration:(q "2");
-  ignore (Strip.advance s Q.one);
+  Strip.place s ~id:1 ~cols:2 ~col_lo:0 ~duration:2;
+  Strip.place s ~id:2 ~cols:2 ~col_lo:2 ~duration:2;
+  ignore (Strip.advance s 1);
   Strip.apply_moves s [ (1, 2); (2, 0) ];
   let by_id id =
     List.find (fun (r : Strip.resident) -> r.Strip.id = id) (Strip.residents s)
@@ -83,8 +83,8 @@ let test_apply_moves_permutation () =
   Alcotest.(check int) "task 1 relocated" 2 (by_id 1).Strip.col_lo;
   Alcotest.(check int) "task 2 relocated" 0 (by_id 2).Strip.col_lo;
   (* Each task now has a closed pre-move segment and a live one. *)
-  ignore (Strip.advance s (q "2"));
-  Alcotest.(check int) "two segments per task" 4 (List.length (Strip.segments s));
+  ignore (Strip.advance s 2);
+  Alcotest.(check int) "two segments per task" 4 (List.length (Strip.segments s ~scale:1));
   match Strip.apply_moves s [ (1, 0) ] with
   | () -> Alcotest.fail "moving a retired task accepted"
   | exception Invalid_argument _ -> ()
@@ -160,9 +160,9 @@ let test_spec_parsing () =
    column 6 (1 cell) while B and C stay put. *)
 let crafted_strip () =
   let s = Strip.create ~k:8 in
-  Strip.place s ~id:1 ~cols:1 ~col_lo:0 ~duration:(q "10");
-  Strip.place s ~id:2 ~cols:2 ~col_lo:4 ~duration:(q "10");
-  Strip.place s ~id:3 ~cols:1 ~col_lo:7 ~duration:(q "10");
+  Strip.place s ~id:1 ~cols:1 ~col_lo:0 ~duration:10;
+  Strip.place s ~id:2 ~cols:2 ~col_lo:4 ~duration:10;
+  Strip.place s ~id:3 ~cols:1 ~col_lo:7 ~duration:10;
   s
 
 let test_repack_greedy_vs_exact () =
@@ -184,8 +184,8 @@ let test_repack_greedy_vs_exact () =
 
 let test_repack_noop_when_compact () =
   let s = Strip.create ~k:8 in
-  Strip.place s ~id:1 ~cols:3 ~col_lo:0 ~duration:Q.one;
-  Strip.place s ~id:2 ~cols:2 ~col_lo:3 ~duration:Q.one;
+  Strip.place s ~id:1 ~cols:3 ~col_lo:0 ~duration:1;
+  Strip.place s ~id:2 ~cols:2 ~col_lo:3 ~duration:1;
   List.iter
     (fun (p : Repack.plan) ->
       Alcotest.(check int) "no moves" 0 (List.length p.Repack.moves);
@@ -280,6 +280,97 @@ let test_sim_check_catches_planted_overlap () =
   Alcotest.(check (list string)) "sweep equals reference"
     (show (Sim.Reference.check inst tampered)) (show (Sim.check inst tampered))
 
+let test_sim_check_unknown_task () =
+  (* A segment of a task the instance does not have, after the makespan:
+     no overlap and no per-task fault, so only the id check sees it. *)
+  let inst = golden_trace () in
+  let r = Sim.run ~packer:Online.First_fit inst in
+  let phantom =
+    { Strip.seg_id = 99999; seg_cols = 1; seg_lo = 0; seg_from = r.Sim.makespan;
+      seg_to = Q.add r.Sim.makespan Q.one }
+  in
+  let tampered = { r with Sim.segments = r.Sim.segments @ [ phantom ] } in
+  let show vs = List.map (Format.asprintf "%a" Sim.pp_violation) vs in
+  let expected = show [ Sim.Unknown_task 99999 ] in
+  Alcotest.(check (list string)) "check" expected (show (Sim.check inst tampered));
+  Alcotest.(check (list string)) "reference check" expected (show (Sim.Reference.check inst tampered))
+
+(* A canonical print of a whole report: every field, each repack event
+   and each segment, rationals as Q.to_string. *)
+let report_digest (r : Sim.report) =
+  let qs = Q.to_string in
+  Printf.sprintf
+    "k %d tasks %d widened %d makespan %s total_wait %s max_pending %d placements %d moves %d \
+     cells_migrated %d migration_cost %s frag_peak %s frag_mean %s"
+    r.Sim.k r.Sim.tasks r.Sim.widened (qs r.Sim.makespan) (qs r.Sim.total_wait) r.Sim.max_pending
+    r.Sim.placements r.Sim.moves r.Sim.cells_migrated (qs r.Sim.migration_cost) (qs r.Sim.frag_peak)
+    (qs r.Sim.frag_mean)
+  :: List.map
+       (fun (e : Sim.repack_event) ->
+         Printf.sprintf "repack %s %s %s %d %d" (qs e.Sim.at) (qs e.Sim.frag_before)
+           (qs e.Sim.frag_after) e.Sim.moved e.Sim.cells)
+       r.Sim.repacks
+  @ List.map
+      (fun (g : Strip.segment) ->
+        Printf.sprintf "segment %d %d %d %s %s" g.Strip.seg_id g.Strip.seg_cols g.Strip.seg_lo
+          (qs g.Strip.seg_from) (qs g.Strip.seg_to))
+      r.Sim.segments
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+(* The reports of the rational simulator before the tick loop replaced
+   it, by digest: n = 1000, K = 8, seeds 1-3, two arrival shapes, four
+   settings, and one instance past the tick guard. *)
+let pinned_digests =
+  [ ("poisson:2.0", 1, [ "ce1fd9832885a37b904196dc3202cad1"; "57498b64383768fc45467c2936c624de";
+                         "e664e20479c3223cf80cb1f8f822cf3a"; "03f2d7fdd866d1af7a90da72cb30cdec" ]);
+    ("poisson:2.0", 2, [ "11ff08a9204b7d6bee72ba7d7f814dc1"; "5a73a3437bf9f9703940855b8f4995ad";
+                         "41e8834e49f78d8e9f349c484939155e"; "749c7c569f8492171b1e63efbaf3f1f4" ]);
+    ("poisson:2.0", 3, [ "fb61b87c060d587c5a5027348d38023c"; "c82244968bca26d4b7239e369c6e6197";
+                         "7b526b51e0223e58add3a3c1764b773e"; "368696ac2dee8aa9db8b09132fd93a86" ]);
+    ("burst:6:2.0", 1, [ "1f0f516ec3832d20b75dcf6753126ff8"; "ec5cd56536141d8719277fadaca6267a";
+                         "a851b03ab815a51663528176db1052ab"; "46ad247040cb7f027186c32305d82172" ]);
+    ("burst:6:2.0", 2, [ "ddc3b22e14926402a7eb69b360a7f80f"; "4a59f76858ff90ec071699dfaa1f193f";
+                         "7d205d4588e11815f13f19ddbe28b30d"; "a18f96a6aecf70ce4ed2210e9cd704f7" ]);
+    ("burst:6:2.0", 3, [ "c13589eb6641d082fa1f844eead7303b"; "96e53b48f1931dddebf24f1058eb1ddd";
+                         "fa1824b4e65a829478f7cf30a4deec08"; "d0791a38ca5be2c60feb32d2bddef5ae" ]) ]
+
+let test_sim_reports_pinned () =
+  let settings =
+    [ ("first-fit", Online.First_fit, None); ("first-fit, repack 1/4", Online.First_fit, Some (q "1/4"));
+      ("buffered:4", Online.Buffered 4, None); ("buffered:1, repack 1/8", Online.Buffered 1, Some (q "1/8")) ]
+  in
+  List.iter
+    (fun (spec, seed, digests) ->
+      let inst =
+        Arrivals.trace ~n:1000 ~k:8 ~seed (Result.get_ok (Arrivals.parse_spec spec))
+      in
+      List.iter2
+        (fun (name, packer, repack_threshold) digest ->
+          Alcotest.(check bool) "on the ticks" true (Sim.on_kernel ?repack_threshold inst);
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d, %s" spec seed name)
+            digest
+            (report_digest (Sim.run ?repack_threshold ~packer inst)))
+        settings digests)
+    pinned_digests;
+  (* Heights and releases times p/(p+1), p = 2^61 - 1: past the guard. *)
+  let p = (1 lsl 61) - 1 in
+  let factor = Q.of_ints p (p + 1) in
+  let inst = Arrivals.trace ~n:200 ~k:8 ~seed:1 (Arrivals.Poisson 2.0) in
+  let inst =
+    I.Release.make ~k:8
+      (List.map
+         (fun (t : I.Release.task) ->
+           let r = t.I.Release.rect in
+           { I.Release.rect = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h factor);
+             release = Q.mul t.I.Release.release factor })
+         inst.I.Release.tasks)
+  in
+  let repack_threshold = q "1/4" in
+  Alcotest.(check bool) "past the guard" false (Sim.on_kernel ~repack_threshold inst);
+  Alcotest.(check string) "past the guard, first-fit, repack 1/4" "923b8c07b938ea817076e09b40ea45e3"
+    (report_digest (Sim.run ~repack_threshold ~packer:Online.First_fit inst))
+
 let test_sim_metrics_published () =
   let inst = golden_trace () in
   let registry = Spp_obs.Metrics.create () in
@@ -331,6 +422,8 @@ let () =
           Alcotest.test_case "certified offline LB" `Quick test_sim_vs_certified_offline_lb;
           Alcotest.test_case "repack accounting" `Quick test_sim_repack_accounting;
           Alcotest.test_case "validator catches tampering" `Quick test_sim_check_catches_planted_overlap;
+          Alcotest.test_case "validator names unknown tasks" `Quick test_sim_check_unknown_task;
+          Alcotest.test_case "reports pinned by digest" `Quick test_sim_reports_pinned;
           Alcotest.test_case "metrics published" `Quick test_sim_metrics_published;
           Alcotest.test_case "packer parsing" `Quick test_packer_parse;
         ] );
