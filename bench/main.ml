@@ -1,6 +1,6 @@
 (* Experiment harness: regenerates every figure/theorem-level claim of the
    paper as a printed table (E1..E12 of DESIGN.md / EXPERIMENTS.md), plus
-   Bechamel timing benches (T1..T12).
+   Bechamel timing benches (T1..T14).
 
    Each experiment also writes its tables as BENCH_e<N>.json next to the
    working directory, so tooling reads metric values without scraping text.
@@ -676,7 +676,7 @@ let e13 () =
 module Boxed_simplex = Spp_lp.Simplex.Make (Spp_lp.Field.Rat)
 
 let timing () =
-  section "T1-T12  Timing (Bechamel; ns per run, linear-regression estimate)";
+  section "T1-T14  Timing (Bechamel; ns per run, linear-regression estimate)";
   let open Bechamel in
   let open Toolkit in
   let rng = Prng.create 99 in
@@ -693,8 +693,24 @@ let timing () =
      trace, first-fit with repacking at 1/4 and buffered:4. *)
   let sim_trace = Spp_sim.Arrivals.trace ~n:1000 ~k:8 ~seed:1 (Spp_sim.Arrivals.Poisson 2.0) in
   let sim_jobs run =
-    ignore (run ?repack_threshold:(Some (Q.of_ints 1 4)) ~packer:Spp_sim.Online.First_fit sim_trace);
-    ignore (run ?repack_threshold:None ~packer:(Spp_sim.Online.Buffered 4) sim_trace)
+    [ run ?repack_threshold:(Some (Q.of_ints 1 4)) ~packer:Spp_sim.Online.First_fit sim_trace;
+      run ?repack_threshold:None ~packer:(Spp_sim.Online.Buffered 4) sim_trace ]
+  in
+  let sim_reports = sim_jobs (fun ?repack_threshold ~packer i -> Spp_sim.Sim.run ?repack_threshold ~packer i) in
+  (* The validator on T10's packing, and on the same instance and packing
+     with every height and y times p/(p+1), p = 2^61 - 1: past the grid's
+     guard, so the check runs on rationals. *)
+  let dc_packed = fst (Dc.pack inst1024) in
+  let p61 = Q.of_ints ((1 lsl 61) - 1) (1 lsl 61) in
+  let taller (r : Rect.t) = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h p61) in
+  let inst1024_p61 = I.Prec.make (List.map taller inst1024.I.Prec.rects) inst1024.I.Prec.dag in
+  let dc_packed_p61 =
+    Placement.of_items
+      (List.map
+         (fun (it : Placement.item) ->
+           { Placement.rect = taller it.Placement.rect;
+             pos = { it.Placement.pos with Placement.y = Q.mul it.Placement.pos.Placement.y p61 } })
+         (Placement.items dc_packed))
   in
   let lp_model =
     (* A medium LP: the APTAS configuration LP for rinst after reduction. *)
@@ -770,11 +786,22 @@ let timing () =
         (Staged.stage (fun () -> ignore (Uniform.Reference.next_fit_shelf uinst512)));
       Test.make ~name:"T12 online sim, two jobs"
         (Staged.stage (fun () ->
-             sim_jobs (fun ?repack_threshold ~packer i -> Spp_sim.Sim.run ?repack_threshold ~packer i)));
+             ignore
+               (sim_jobs (fun ?repack_threshold ~packer i -> Spp_sim.Sim.run ?repack_threshold ~packer i))));
       Test.make ~name:"T12r online sim reference"
         (Staged.stage (fun () ->
-             sim_jobs (fun ?repack_threshold ~packer i ->
-                 Spp_sim.Sim.Reference.run ?repack_threshold ~packer i)));
+             ignore
+               (sim_jobs (fun ?repack_threshold ~packer i ->
+                    Spp_sim.Sim.Reference.run ?repack_threshold ~packer i))));
+      Test.make ~name:"T13 check_prec, DC n=1024"
+        (Staged.stage (fun () -> ignore (Validate.check_prec inst1024 dc_packed)));
+      Test.make ~name:"T13b check_prec, off the grid"
+        (Staged.stage (fun () -> ignore (Validate.check_prec inst1024_p61 dc_packed_p61)));
+      Test.make ~name:"T14 sim check, two reports"
+        (Staged.stage (fun () -> List.iter (fun r -> ignore (Spp_sim.Sim.check sim_trace r)) sim_reports));
+      Test.make ~name:"T14r sim check reference"
+        (Staged.stage (fun () ->
+             List.iter (fun r -> ignore (Spp_sim.Sim.Reference.check sim_trace r)) sim_reports));
     ]
   in
   let benchmark test =

@@ -601,19 +601,52 @@ let first_difference pp got expect =
   go 0 (got, expect)
 
 (* Each [(label, got, expect)] must agree exactly, order included. *)
-let agree pp cases =
-  all_pass
-    (List.map
-       (fun (label, got, expect) ->
-         ( got = expect,
-           fun () ->
-             Printf.sprintf "%s: sweep found %d violation(s), reference %d; first difference %s"
-               label (List.length got) (List.length expect) (first_difference pp got expect) ))
-       cases)
+let agreements pp cases =
+  List.map
+    (fun (label, got, expect) ->
+      ( got = expect,
+        fun () ->
+          Printf.sprintf "%s: sweep found %d violation(s), reference %d; first difference %s" label
+            (List.length got) (List.length expect) (first_difference pp got expect) ))
+    cases
+
+(* Every height and release times [factor]. A factor below 1 keeps
+   release heights <= 1, and scaling y by a constant leaves the search
+   tree as it is. *)
+let scale_y factor parsed =
+  let rect (r : Rect.t) = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h factor) in
+  match parsed with
+  | Io.Prec inst -> Io.Prec (I.Prec.make (List.map rect inst.I.Prec.rects) inst.I.Prec.dag)
+  | Io.Release inst ->
+    Io.Release
+      (I.Release.make ~k:inst.I.Release.k
+         (List.map
+            (fun (t : I.Release.task) ->
+              { I.Release.rect = rect t.I.Release.rect; release = Q.mul t.I.Release.release factor })
+            inst.I.Release.tasks))
+
+(* [inst] with every height and release times [factor] (below 1). *)
+let scale_times factor (inst : I.Release.t) =
+  match scale_y factor (Io.Release inst) with Io.Release inst -> inst | Io.Prec _ -> assert false
+
+(* p/(p+1) for p = 2^20 - 3 keeps a kernel on its grid with large
+   values; for p = 2^61 - 1 the values pass 2^60, so it falls back to
+   rationals. Each copy says whether the kernel must stay on its grid. *)
+let scaled =
+  [ ("y times p/(p+1), p = 2^20 - 3", 1_048_573, true);
+    ("y times p/(p+1), p = 2^61 - 1", (1 lsl 61) - 1, false) ]
+
+let times p = Q.of_ints p (p + 1)
+
+(* The path a kernel took on a scaled copy: on its grid when [expect],
+   off it otherwise, unless nothing large was scaled ([empty]). *)
+let path label kernel ~expect ~empty on_grid =
+  ( (if expect then on_grid else (not on_grid) || empty),
+    fun () -> Printf.sprintf "%s: %s on its grid %b" label kernel on_grid )
 
 (* A valid placement and seeded corruptions of it, each aimed at a tie or
-   a boundary of the sweep. Item order and ids are kept, so the lists stay
-   comparable position by position. *)
+   a boundary of the sweep or the strip. The items a corruption keeps keep
+   their order and ids, so the lists stay comparable position by position. *)
 let corrupt_placement rng p =
   let items = Placement.items p in
   let n = List.length items in
@@ -629,6 +662,13 @@ let corrupt_placement rng p =
     let h (it : Placement.item) = it.Placement.rect.Rect.h in
     let x (it : Placement.item) = it.Placement.pos.Placement.x in
     let y (it : Placement.item) = it.Placement.pos.Placement.y in
+    (* Copies of the i-th item under ids the instance lacks, listed out
+       of id order. *)
+    let top = List.fold_left (fun m (it : Placement.item) -> max m it.Placement.rect.Rect.id) 0 items in
+    let extra d =
+      let it = List.nth items i in
+      { it with Placement.rect = { it.Placement.rect with Rect.id = top + d } }
+    in
     [ ("as packed", p);
       ("onto a neighbour", move (fun it -> at it nx ny));
       ("past x = 1", move (fun it -> at it (Q.sub Q.one (half (w it))) (y it)));
@@ -636,35 +676,79 @@ let corrupt_placement rng p =
       ("below y = 0", move (fun it -> at it (x it) (Q.neg (half (h it)))));
       ("touching in x", move (fun it -> at it (Q.add nx (w nb)) ny));
       ("touching in y", move (fun it -> at it nx (Q.add ny (h nb))));
+      ("flush with x = 1", move (fun it -> at it (Q.sub Q.one (w it)) (y it)));
       ("one dropped", Placement.of_items (List.filteri (fun k _ -> k <> i) items));
-      ("all at y = 0", Placement.of_items (List.map (fun it -> at it (x it) Q.zero) items)) ]
+      ("all at y = 0", Placement.of_items (List.map (fun it -> at it (x it) Q.zero) items));
+      ("extra rects", Placement.of_items (items @ List.map extra [ 40; 7; 23; 1000; 3 ])) ]
   end
+
+(* [p] with every y and height times [factor], as [scale_y] scales its
+   instance: a valid placement stays valid. *)
+let scale_placement factor p =
+  Placement.of_items
+    (List.map
+       (fun (it : Placement.item) ->
+         let r = it.Placement.rect in
+         { Placement.rect = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h factor);
+           pos = { it.Placement.pos with Placement.y = Q.mul it.Placement.pos.Placement.y factor } })
+       (Placement.items p))
 
 let diff_validate =
   prop "diff.validate"
-    "Validate.check_prec / check_release (one sweep over y, one id table) return exactly the \
-     reference's violation list, order included, on LS and DC packings and on seeded \
-     corruptions: a rectangle moved onto a neighbour, pushed out of the strip, touching one \
-     exactly, dropped, and everything lowered to y = 0"
+    "Validate.check_prec / check_release (on the integer grids, one sweep over y, one id \
+     table) return exactly the reference's violation list, order included, on LS and DC \
+     packings and on seeded corruptions: a rectangle moved onto a neighbour, pushed out of the \
+     strip, flush with its right edge, touching one exactly, dropped, copied under ids the \
+     instance lacks, and everything lowered to y = 0; also with every height, release and y \
+     times p/(p+1), where p = 2^20 - 3 must stay on the grids and p = 2^61 - 1 must fall back \
+     to rationals"
     [ "prec"; "release"; "validate" ]
     (fun parsed ->
       let rng = Spp_util.Prng.create (stream_seed_of parsed) in
       let pp = Format.asprintf "%a" Validate.pp_violation in
-      let cases name check reference p =
+      let packings =
+        match parsed with
+        | Io.Prec inst ->
+          [ ("ls", Spp_core.List_schedule.prec inst); ("dc", fst (Spp_core.Dc.pack inst)) ]
+        | Io.Release inst -> [ ("ls", Spp_core.List_schedule.release inst) ]
+      in
+      (* [(label, placement, on the grids, check, reference)] per corruption. *)
+      let cases version parsed p =
         List.map
-          (fun (label, p') -> (name ^ ", " ^ label, check p', reference p'))
+          (fun (label, p') ->
+            let label = version ^ ", " ^ label in
+            match parsed with
+            | Io.Prec inst ->
+              ( label, p', Placement.on_grid p', Validate.check_prec inst p',
+                Validate.Reference.check_prec inst p' )
+            | Io.Release inst ->
+              ( label, p', Validate.on_grid_release inst p', Validate.check_release inst p',
+                Validate.Reference.check_release inst p' ))
           (corrupt_placement rng p)
       in
-      match parsed with
-      | Io.Prec inst ->
-        let check = Validate.check_prec inst and reference = Validate.Reference.check_prec inst in
-        agree pp
-          (cases "ls" check reference (Spp_core.List_schedule.prec inst)
-          @ cases "dc" check reference (fst (Spp_core.Dc.pack inst)))
-      | Io.Release inst ->
-        agree pp
-          (cases "ls" (Validate.check_release inst) (Validate.Reference.check_release inst)
-             (Spp_core.List_schedule.release inst)))
+      let versions =
+        ("as generated", parsed, Fun.id, None)
+        :: List.map
+             (fun (version, p, expect) ->
+               (version, scale_y (times p) parsed, scale_placement (times p), Some expect))
+             scaled
+      in
+      all_pass
+        (List.concat_map
+           (fun (version, parsed, scale, expect) ->
+             List.concat_map
+               (fun (name, packing) ->
+                 List.concat_map
+                   (fun (label, p', on_grid, got, reference) ->
+                     agreements pp [ (label, got, reference) ]
+                     @
+                     match expect with
+                     | None -> []
+                     | Some expect ->
+                       [ path label "the check" ~expect ~empty:(Placement.size p' = 0) on_grid ])
+                   (cases (name ^ ", " ^ version) parsed (scale packing)))
+               packings)
+           versions))
 
 (* A sound segment log and seeded corruptions of it. *)
 let corrupt_log rng (r : Spp_sim.Sim.report) =
@@ -685,8 +769,17 @@ let corrupt_log rng (r : Spp_sim.Sim.report) =
       List.concat (List.mapi (fun k s -> if k = i then [ s; phantom a ] else [ s ]) (Array.to_list segs))
       @ [ phantom (a + 1); phantom a ]
     in
+    (* A copy of the i-th segment one column narrower, logged right after
+       it: two segments of one task with the same start. *)
+    let doubled =
+      List.concat
+        (List.mapi
+           (fun k s -> if k = i then [ s; { s with S.seg_cols = s.S.seg_cols - 1 } ] else [ s ])
+           (Array.to_list segs))
+    in
     [ ("as run", r);
       ("all on column 0", with_segs (fun _ s -> { s with S.seg_lo = 0 }));
+      ("one doubled, a column narrower", { r with Spp_sim.Sim.segments = doubled });
       ("one zero-length", one (fun s -> { s with S.seg_to = s.S.seg_from }));
       ("all zero-length", with_segs (fun _ s -> { s with S.seg_to = s.S.seg_from }));
       ("one stretched", one (fun s -> { s with S.seg_to = Q.add s.S.seg_to stretch }));
@@ -694,53 +787,67 @@ let corrupt_log rng (r : Spp_sim.Sim.report) =
       ("phantom tasks", { r with Spp_sim.Sim.segments = phantoms }) ]
   end
 
+(* [r] with every segment endpoint times [factor], as [scale_y] scales
+   its instance: a sound log stays sound. *)
+let scale_report factor (r : Spp_sim.Sim.report) =
+  let module S = Spp_sim.Strip_state in
+  { r with
+    Spp_sim.Sim.segments =
+      List.map
+        (fun (g : S.segment) ->
+          { g with S.seg_from = Q.mul g.S.seg_from factor; seg_to = Q.mul g.S.seg_to factor })
+        r.Spp_sim.Sim.segments }
+
 let diff_sim_check =
   prop "diff.sim.check"
-    "Sim.check (one sweep over time) returns exactly the reference's violation list, order \
-     included, on first-fit and repacking segment logs and on seeded corruptions: every \
-     segment on column 0, segments made zero-length or stretched, and segments of tasks the \
-     instance does not have"
+    "Sim.check (on integer ticks, one sweep over time) returns exactly the reference's \
+     violation list, order included, on first-fit and repacking segment logs and on seeded \
+     corruptions: every segment on column 0, a segment logged twice with one column fewer, \
+     segments made zero-length or stretched, and segments of tasks the instance does not \
+     have; also with every height, release and endpoint times p/(p+1), where p = 2^20 - 3 \
+     must stay on the ticks and p = 2^61 - 1 must fall back to rationals"
     [ "release"; "validate" ]
     (on_release (fun inst ->
          let rng = Spp_util.Prng.create (stream_seed_of (Io.Release inst)) in
          let pp = Format.asprintf "%a" Spp_sim.Sim.pp_violation in
-         let cases name r =
-           List.map
-             (fun (label, r') ->
-               (name ^ ", " ^ label, Spp_sim.Sim.check inst r', Spp_sim.Sim.Reference.check inst r'))
-             (corrupt_log rng r)
+         let runs =
+           [ ("first-fit", Spp_sim.Sim.run ~packer:Spp_sim.Online.First_fit inst);
+             ( "repack",
+               Spp_sim.Sim.run ~repack_threshold:(Q.of_ints 1 4) ~packer:Spp_sim.Online.First_fit inst
+             ) ]
          in
-         agree pp
-           (cases "first-fit" (Spp_sim.Sim.run ~packer:Spp_sim.Online.First_fit inst)
-           @ cases "repack"
-               (Spp_sim.Sim.run ~repack_threshold:(Q.of_ints 1 4) ~packer:Spp_sim.Online.First_fit
-                  inst))))
+         let versions =
+           ("as generated", inst, Fun.id, None)
+           :: List.map
+                (fun (version, p, expect) ->
+                  (version, scale_times (times p) inst, scale_report (times p), Some expect))
+                scaled
+         in
+         all_pass
+           (List.concat_map
+              (fun (version, inst, scale, expect) ->
+                List.concat_map
+                  (fun (name, r) ->
+                    List.concat_map
+                      (fun (label, r') ->
+                        let label = String.concat ", " [ name; version; label ] in
+                        agreements pp
+                          [ (label, Spp_sim.Sim.check inst r', Spp_sim.Sim.Reference.check inst r') ]
+                        @
+                        match expect with
+                        | None -> []
+                        | Some expect ->
+                          [ path label "Sim.check" ~expect ~empty:(inst.I.Release.tasks = [])
+                              (Spp_sim.Sim.check_on_ticks inst r') ])
+                      (corrupt_log rng (scale r)))
+                  runs)
+              versions)))
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the integer order-search kernel vs the rational search *)
 
-(* Every height and release times [factor]. A factor below 1 keeps
-   release heights <= 1, and scaling y by a constant leaves the search
-   tree as it is. *)
-let scale_y factor parsed =
-  let rect (r : Rect.t) = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h factor) in
-  match parsed with
-  | Io.Prec inst -> Io.Prec (I.Prec.make (List.map rect inst.I.Prec.rects) inst.I.Prec.dag)
-  | Io.Release inst ->
-    Io.Release
-      (I.Release.make ~k:inst.I.Release.k
-         (List.map
-            (fun (t : I.Release.task) ->
-              { I.Release.rect = rect t.I.Release.rect; release = Q.mul t.I.Release.release factor })
-            inst.I.Release.tasks))
-
-(* p/(p+1) for p = 2^20 - 3 keeps the kernel on large integers; for
-   p = 2^61 - 1 the y scale passes 2^60, so the search falls back. *)
 let order_versions parsed =
-  let p_20 = 1_048_573 and p_61 = (1 lsl 61) - 1 in
-  [ ("as generated", parsed);
-    ("y times p/(p+1), p = 2^20 - 3", scale_y (Q.of_ints p_20 (p_20 + 1)) parsed);
-    ("y times p/(p+1), p = 2^61 - 1", scale_y (Q.of_ints p_61 (p_61 + 1)) parsed) ]
+  ("as generated", parsed) :: List.map (fun (label, p, _) -> (label, scale_y (times p) parsed)) scaled
 
 let diff_order =
   prop "diff.order"
@@ -853,10 +960,6 @@ let sim_instance rng =
   ( Printf.sprintf "drawn n = %d, K = %d, %s at %g" n k
       (if burst = 1 then "poisson" else Printf.sprintf "bursts of %d" burst) rate,
     I.Release.make ~k (List.init n task) )
-
-(* [inst] with every height and release times [factor] (below 1). *)
-let scale_times factor (inst : I.Release.t) =
-  match scale_y factor (Io.Release inst) with Io.Release inst -> inst | Io.Prec _ -> assert false
 
 (* The scale s of [inst] (the lcm of its height and release
    denominators) and its horizon (max release + sum of heights) in ticks
@@ -1332,26 +1435,52 @@ let dc_subroutines =
 
 let diff_dc =
   prop "diff.dc"
-    "Dc.pack (one array view, recursion over index subsets) returns exactly what \
-     Dc.Reference.pack (induced sub-instances, shift and union) returns: every item in order \
-     and the stats, with NFDH and with bottom-left in band order as the subroutine, on the case \
-     and on a layered or series-parallel instance with n in 64..512 and negative, \
-     non-contiguous ids drawn from its stream seed"
+    "Dc.pack (one array view, recursion over index subsets, F on the height grid) returns \
+     exactly what Dc.Reference.pack (induced sub-instances, shift and union) returns: every \
+     item in order and the stats, with NFDH and with bottom-left in band order as the \
+     subroutine, on the case and on a layered or series-parallel instance with n in 64..512 \
+     and negative, non-contiguous ids drawn from its stream seed; also with every height \
+     times p/(p+1), where p = 2^20 - 3 must stay on the height grid and p = 2^61 - 1 must \
+     fall back to rationals"
     [ "prec"; "dc"; "index" ]
     (fun parsed ->
       let pp (s : Spp_core.Dc.stats) =
         Printf.sprintf "%d levels, %d mid calls" s.Spp_core.Dc.levels s.Spp_core.Dc.mid_calls
       in
+      (* The rational side is slow on values past 2^60: the drawn
+         instance's copy past the guard keeps its first 32 rectangles. *)
+      let versions =
+        List.concat_map
+          (fun (label, inst) ->
+            (label, inst, None)
+            :: List.map
+                 (fun (version, p, expect) ->
+                   let inst =
+                     if expect then inst
+                     else
+                       let keep = List.filteri (fun i _ -> i < 32) inst.I.Prec.rects in
+                       I.Prec.induced inst (fun id -> List.exists (fun (r : Rect.t) -> r.Rect.id = id) keep)
+                   in
+                   match scale_y (times p) (Io.Prec inst) with
+                   | Io.Prec scaled -> (label ^ ", " ^ version, scaled, Some expect)
+                   | Io.Release _ -> assert false)
+                 scaled)
+          (index_cases ~uniform:false parsed)
+      in
       all_pass
         (List.concat_map
-           (fun (label, inst) ->
-             List.concat_map
-               (fun (name, subroutine) ->
-                 same_packing pp (label ^ ", " ^ name)
-                   (Spp_core.Dc.pack ~subroutine inst)
-                   (Spp_core.Dc.Reference.pack ~subroutine inst))
-               dc_subroutines)
-           (index_cases ~uniform:false parsed)))
+           (fun (label, inst, expect) ->
+             (match expect with
+              | None -> []
+              | Some expect ->
+                [ path label "DC" ~expect ~empty:(inst.I.Prec.rects = []) (Spp_core.Dc.on_grid inst) ])
+             @ List.concat_map
+                 (fun (name, subroutine) ->
+                   same_packing pp (label ^ ", " ^ name)
+                     (Spp_core.Dc.pack ~subroutine inst)
+                     (Spp_core.Dc.Reference.pack ~subroutine inst))
+                 dc_subroutines)
+           versions))
 
 let diff_f =
   prop "diff.f"

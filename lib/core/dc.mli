@@ -14,16 +14,30 @@
 
     {!pack} builds one array view per call: the rectangles by input
     position, an id → position table, the predecessors as position
-    arrays and one topological order from {!Spp_dag.Dag.topo_order}. The
-    recursion runs over position subsets, each kept in input order and in
-    topological order. F on an induced sub-DAG is one pass over the
-    subset in topological order, with a per-call stamp marking
-    membership, and both lemmas are asserted on every call. The bands are
-    stacked by passing the absolute base y down; the items are collected
-    bottom band → middle band → top band and checked once by
-    {!Spp_geom.Placement.of_items}. The result is identical to
-    {!Reference.pack}'s: the same items in the same order, and the same
-    stats. *)
+    arrays and one topological order, from Kahn's algorithm over those
+    arrays (F does not depend on which order). The recursion runs over
+    position subsets, each kept in input order and in topological order.
+    F on an induced sub-DAG is one pass over the subset in topological
+    order, with a per-call stamp marking membership, and both lemmas are
+    asserted on every call. The bands are stacked by passing the absolute
+    base y down; the items are collected bottom band → middle band → top
+    band and checked once by {!Spp_geom.Placement.of_items}. The result
+    is identical to {!Reference.pack}'s: the same items in the same order,
+    and the same stats.
+
+    {2 The height grid}
+
+    F and the bands are computed on integers: every height times the lcm
+    [s] of the heights' denominators ({!Spp_num.Scale}), F per call in an
+    int array, a rectangle in the bottom band when [2F <= H] and in the
+    top band when [2(F - h) > H], for [H] the subset's largest F. The
+    scale comes from the instance's heights alone. The guard: [s] fits a
+    native int, every height is positive, and the heights' sum on the
+    grid is at most 2{^60}; then [0 < F <= sum] and [2F] cannot wrap.
+    Past the guard the same recursion computes F and the bands on
+    rationals, with the same bands. The input decides; there is no flag,
+    and {!on_grid} tells which. The placement itself ([y] of each item,
+    the subroutine's packing) stays rational. *)
 
 type stats = {
   levels : int;  (** recursion depth reached *)
@@ -31,10 +45,15 @@ type stats = {
 }
 
 (** [split inst] computes one level of the DC partition (Algorithm 1 lines
-    2–6) on the whole instance: [(s_bot, s_mid, s_top)] as id lists. Exposed
+    2–6) on the whole instance, by {!pack}'s own band step:
+    [(s_bot, s_mid, s_top)] as id lists, each in instance order. Exposed
     so tests can check Lemma 2.2 ([s_mid] is never empty on a non-empty
     instance) and Lemma 2.1 ([s_mid] is pairwise independent) directly. *)
 val split : Instance.Prec.t -> int list * int list * int list
+
+(** [on_grid inst] is [true] when {!pack} and {!split} compute F on the
+    height grid for [inst], [false] when they compute it on rationals. *)
+val on_grid : Instance.Prec.t -> bool
 
 (** [pack ?subroutine inst] returns the placement and statistics.
     [subroutine] defaults to {!Spp_pack.Level.nfdh}; any replacement must

@@ -28,6 +28,8 @@ let sinks t = List.filter (fun v -> IntSet.is_empty (neighbours t.succs v)) (nod
 let edges t =
   List.concat_map (fun u -> List.map (fun v -> (u, v)) (succs t u)) (nodes t)
 
+let iter_edges t f = IntMap.iter (fun u s -> IntSet.iter (f u) s) t.succs
+
 (* Kahn's algorithm with a min-id heap; returns None when a cycle remains. *)
 let topo_order_opt t =
   let indeg = Hashtbl.create 16 in

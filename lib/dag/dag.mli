@@ -21,6 +21,10 @@ val nodes : t -> int list
 
 val edges : t -> (int * int) list
 
+(** [iter_edges t f] calls [f u v] on every edge [(u, v)], in the order of
+    {!edges}, without building that list. *)
+val iter_edges : t -> (int -> int -> unit) -> unit
+
 val num_nodes : t -> int
 val num_edges : t -> int
 val mem : t -> int -> bool

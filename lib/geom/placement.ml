@@ -1,4 +1,5 @@
 module Q = Spp_num.Rat
+module Scale = Spp_num.Scale
 
 type pos = { x : Q.t; y : Q.t }
 type item = { rect : Rect.t; pos : pos }
@@ -46,25 +47,67 @@ let overlaps (ra : Rect.t) pa (rb : Rect.t) pb =
 
 type violation = Out_of_strip of int | Overlap of int * int
 
-let check t =
-  let outside =
-    List.filter_map
+module Grid = struct
+  type t = { sx : int; sy : int; x : int array; w : int array; y : int array; h : int array }
+
+  let make ?(sy = 1) items =
+    let sx = ref 1 and sy = ref sy in
+    Array.iter
       (fun it ->
-        let right = Q.add it.pos.x it.rect.Rect.w in
-        if Q.sign it.pos.x < 0 || Q.sign it.pos.y < 0 || Q.compare right Q.one > 0 then
-          Some (Out_of_strip it.rect.Rect.id)
-        else None)
-      t.items
-  in
-  (* Only rectangles whose y-ranges meet can overlap: sweep over y. *)
-  let arr = Array.of_list t.items in
-  let overlapping =
-    Sweep.pairs
-      ~lo:(Array.map (fun it -> it.pos.y) arr)
-      ~hi:(Array.map (fun it -> Q.add it.pos.y it.rect.Rect.h) arr)
-      (fun i j -> overlaps arr.(i).rect arr.(i).pos arr.(j).rect arr.(j).pos)
-  in
-  outside @ List.map (fun (i, j) -> Overlap (arr.(i).rect.Rect.id, arr.(j).rect.Rect.id)) overlapping
+        sx := Scale.extend (Scale.extend !sx it.pos.x) it.rect.Rect.w;
+        sy := Scale.extend (Scale.extend !sy it.pos.y) it.rect.Rect.h)
+      items;
+    let sx = !sx and sy = !sy in
+    let n = Array.length items in
+    let x = Array.make n 0 and w = Array.make n 0 and y = Array.make n 0 and h = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let it = items.(i) in
+      x.(i) <- Scale.to_grid sx it.pos.x;
+      w.(i) <- Scale.to_grid sx it.rect.Rect.w;
+      y.(i) <- Scale.to_grid sy it.pos.y;
+      h.(i) <- Scale.to_grid sy it.rect.Rect.h;
+      (* The sweep's candidates already meet in y only when no height is
+         zero or negative (Sweep.pairs). *)
+      if h.(i) <= 0 then raise Scale.Off_grid
+    done;
+    { sx; sy; x; w; y; h }
+
+  let check items grid =
+    let n = Array.length items in
+    let id i = items.(i).rect.Rect.id in
+    let outside, overlapping =
+      match grid with
+      | Some g ->
+        ( (fun i -> g.x.(i) < 0 || g.y.(i) < 0 || g.x.(i) + g.w.(i) > g.sx),
+          (* The sweep only tests pairs whose y-ranges meet, so x decides. *)
+          Sweep.pairs ~compare:Int.compare ~lo:g.y
+            ~hi:(Array.init n (fun i -> g.y.(i) + g.h.(i)))
+            (fun i j -> g.x.(i) < g.x.(j) + g.w.(j) && g.x.(j) < g.x.(i) + g.w.(i)) )
+      | None ->
+        ( (fun i ->
+            let it = items.(i) in
+            Q.sign it.pos.x < 0 || Q.sign it.pos.y < 0
+            || Q.compare (Q.add it.pos.x it.rect.Rect.w) Q.one > 0),
+          (* Only rectangles whose y-ranges meet can overlap: sweep over y. *)
+          Sweep.pairs ~compare:Q.compare
+            ~lo:(Array.map (fun it -> it.pos.y) items)
+            ~hi:(Array.map (fun it -> Q.add it.pos.y it.rect.Rect.h) items)
+            (fun i j -> overlaps items.(i).rect items.(i).pos items.(j).rect items.(j).pos) )
+    in
+    let violations = ref (List.map (fun (i, j) -> Overlap (id i, id j)) overlapping) in
+    for i = n - 1 downto 0 do
+      if outside i then violations := Out_of_strip (id i) :: !violations
+    done;
+    !violations
+end
+
+let grid items = Scale.fits (fun () -> Grid.make items)
+
+let check t =
+  let items = Array.of_list t.items in
+  Grid.check items (grid items)
+
+let on_grid t = Option.is_some (grid (Array.of_list t.items))
 
 (* The pairwise loop: the oracle the differential tests compare [check]
    with. *)

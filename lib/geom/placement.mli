@@ -54,8 +54,51 @@ type violation =
     Overlap candidates come from one sweep over y ({!Sweep.pairs}) and
     are decided by {!overlaps}; a valid packing costs
     O(n log n + n / w_min). This is the independent certificate every
-    algorithm's output and every cached answer passes through. *)
+    algorithm's output and every cached answer passes through. It runs
+    on the integer grids of {!Grid} when the placement fits them, and on
+    rationals otherwise, with the same result. *)
 val check : t -> violation list
+
+(** The integer grids {!check} runs on.
+
+    x and w are counted in units of [1/sx], where [sx] is the lcm of every
+    x and w denominator; y and h in units of [1/sy], the lcm of every y
+    and h denominator ({!Spp_num.Scale}). Both scales come from the items
+    a check is handed, never from the solver that placed them.
+
+    The guard: both scales fit a native int, every grid value is at most
+    2{^60} in magnitude, and every height is positive. Then the sum of
+    two grid values cannot wrap, each test is its rational counterpart
+    multiplied through by a positive scale ([x + w > 1] becomes
+    [x + w > sx]), and because every y-interval is non-empty the sweep's
+    candidates already meet in y, so x alone decides an overlap. Any other
+    placement runs the same sweep over rationals with {!overlaps}. The
+    input decides; there is no flag. *)
+module Grid : sig
+  type t = private {
+    sx : int;
+    sy : int;  (** a multiple of the [?sy] passed to {!make} *)
+    x : int array;  (** one entry per item, in item order *)
+    w : int array;
+    y : int array;
+    h : int array;
+  }
+
+  (** [make ?sy items] puts [items] on their grids, the y scale also a
+      multiple of [sy] (default 1), so a caller can compare its own
+      y values ({!Spp_core.Validate}'s release times) on the same grid.
+      @raise Spp_num.Scale.Off_grid past the guard. *)
+  val make : ?sy:int -> item array -> t
+
+  (** [check items grid] is {!check} on [items] in this order: on the
+      grids when [grid] is [Some] of {!make}'s grids for [items] (with
+      any [?sy]), on rationals when it is [None]. *)
+  val check : item array -> t option -> violation list
+end
+
+(** [on_grid t] is [true] when {!check} runs on the grids for [t],
+    [false] when it runs on rationals. *)
+val on_grid : t -> bool
 
 (** The pairwise O(n²) loop over all rectangle pairs, kept as the
     differential-testing oracle: [Reference.check t] equals [check t],

@@ -1,9 +1,7 @@
-module Q = Spp_num.Rat
-
-let pairs ~lo ~hi test =
+let pairs ~compare:cmp ~lo ~hi test =
   let n = Array.length lo in
   let order = Array.init n Fun.id in
-  Array.stable_sort (fun i j -> Q.compare lo.(i) lo.(j)) order;
+  Array.stable_sort (fun i j -> cmp lo.(i) lo.(j)) order;
   (* [active.(0 .. live - 1)]: the swept items whose interval is still
      open at the current start. Items closed at or before it can meet no
      later item either, so they are dropped while the survivors are
@@ -17,7 +15,7 @@ let pairs ~lo ~hi test =
       let kept = ref 0 in
       for k = 0 to !live - 1 do
         let i = active.(k) in
-        if Q.compare hi.(i) start > 0 then begin
+        if cmp hi.(i) start > 0 then begin
           active.(!kept) <- i;
           incr kept;
           let a = min i j and b = max i j in

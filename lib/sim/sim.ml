@@ -475,31 +475,169 @@ let collide (a : Strip_state.segment) (b : Strip_state.segment) =
   && overlap_cols a.Strip_state.seg_lo a.Strip_state.seg_cols b.Strip_state.seg_lo
        b.Strip_state.seg_cols
 
-let check (inst : I.Release.t) (r : report) =
-  (* Only segments whose time intervals meet can collide: sweep over time.
-     A task pair is reported once, at its first colliding segment pair in
-     log order. *)
-  let segs = Array.of_list r.segments in
-  let colliding =
-    Spp_geom.Sweep.pairs
-      ~lo:(Array.map (fun (s : Strip_state.segment) -> s.Strip_state.seg_from) segs)
-      ~hi:(Array.map (fun (s : Strip_state.segment) -> s.Strip_state.seg_to) segs)
-      (fun i j -> collide segs.(i) segs.(j))
-  in
+(* One [Overlap] per task pair among the colliding segment pairs [(i, j)]
+   (sorted), at its first pair. *)
+let first_overlaps (segs : Strip_state.segment array) colliding =
   let seen = Hashtbl.create 16 in
-  let overlaps =
-    List.filter_map
-      (fun (i, j) ->
-        let a = segs.(i).Strip_state.seg_id and b = segs.(j).Strip_state.seg_id in
-        let pair = (min a b, max a b) in
-        if Hashtbl.mem seen pair then None
-        else begin
-          Hashtbl.replace seen pair ();
-          Some (Overlap (fst pair, snd pair))
-        end)
-      colliding
+  List.filter_map
+    (fun (i, j) ->
+      let a = segs.(i).Strip_state.seg_id and b = segs.(j).Strip_state.seg_id in
+      let pair = (min a b, max a b) in
+      if Hashtbl.mem seen pair then None
+      else begin
+        Hashtbl.replace seen pair ();
+        Some (Overlap (fst pair, snd pair))
+      end)
+    colliding
+
+(* A check's input on ticks of [1/s], [s] the lcm of the instance's
+   heights and releases and the log's endpoints: every task's height,
+   release and fewest columns, and each segment's owner (an instance
+   position, or -1) and endpoints. *)
+type check_ticks = {
+  heights : int array;
+  rel : int array;
+  need : int array;
+  owner : int array;
+  from : int array;
+  upto : int array;
+}
+
+(* Raises Scale.Off_grid past the guard: a width outside (0, 1], or a
+   value or a·k past 2^60. A width a/b needs ceil(a·k / b) columns:
+   cols/k < a/b exactly when cols is fewer. *)
+let check_ticks (inst : I.Release.t) tasks (segs : Strip_state.segment array) =
+  let k = inst.I.Release.k in
+  let n = Array.length tasks and m = Array.length segs in
+  let s = ref 1 in
+  Array.iter
+    (fun (t : I.Release.task) ->
+      s := Scale.extend (Scale.extend !s t.I.Release.rect.Rect.h) t.I.Release.release)
+    tasks;
+  Array.iter
+    (fun (g : Strip_state.segment) ->
+      s := Scale.extend (Scale.extend !s g.Strip_state.seg_from) g.Strip_state.seg_to)
+    segs;
+  let s = !s in
+  let pos = Hashtbl.create n in
+  let heights = Array.make n 0 and rel = Array.make n 0 and need = Array.make n 0 in
+  Array.iteri
+    (fun i (t : I.Release.task) ->
+      let r = t.I.Release.rect in
+      Hashtbl.replace pos r.Rect.id i;
+      heights.(i) <- Scale.to_grid s r.Rect.h;
+      rel.(i) <- Scale.to_grid s t.I.Release.release;
+      let b = Scale.extend 1 r.Rect.w in
+      let a = Scale.to_grid b r.Rect.w in
+      if a <= 0 || a > b then raise Scale.Off_grid;
+      let ak = Scale.mul a k in
+      need.(i) <- (ak / b) + if ak mod b = 0 then 0 else 1)
+    tasks;
+  let owner = Array.make m 0 and from = Array.make m 0 and upto = Array.make m 0 in
+  Array.iteri
+    (fun j (g : Strip_state.segment) ->
+      owner.(j) <- (try Hashtbl.find pos g.Strip_state.seg_id with Not_found -> -1);
+      from.(j) <- Scale.to_grid s g.Strip_state.seg_from;
+      upto.(j) <- Scale.to_grid s g.Strip_state.seg_to)
+    segs;
+  { heights; rel; need; owner; from; upto }
+
+(* [task_violations] and the sweep on ticks. *)
+let tick_check (inst : I.Release.t) tasks (segs : Strip_state.segment array) g =
+  let k = inst.I.Release.k in
+  let n = Array.length tasks and m = Array.length segs in
+  let violations = ref [] in
+  let add v = violations := v :: !violations in
+  (* Each task's segments, by a counting sort over instance positions:
+     those of task [i] at [chain.(first.(i) .. first.(i + 1) - 1)], by
+     start, equal starts in reverse log order (as the stable sort of
+     [task_violations] leaves them). *)
+  let first = Array.make (n + 1) 0 in
+  Array.iter (fun i -> if i >= 0 then first.(i + 1) <- first.(i + 1) + 1) g.owner;
+  for i = 1 to n do
+    first.(i) <- first.(i) + first.(i - 1)
+  done;
+  let fill = Array.sub first 0 n in
+  let chain = Array.make first.(n) 0 in
+  Array.iteri
+    (fun j i ->
+      if i >= 0 then begin
+        chain.(fill.(i)) <- j;
+        fill.(i) <- fill.(i) + 1
+      end)
+    g.owner;
+  let by_start a b =
+    if g.from.(a) <> g.from.(b) then Int.compare g.from.(a) g.from.(b) else Int.compare b a
   in
-  task_violations inst r @ overlaps
+  for i = 0 to n - 1 do
+    let lo = first.(i) and len = first.(i + 1) - first.(i) in
+    if len > 1 then begin
+      let sub = Array.sub chain lo len in
+      Array.sort by_start sub;
+      Array.blit sub 0 chain lo len
+    end
+  done;
+  for i = 0 to n - 1 do
+    let id = tasks.(i).I.Release.rect.Rect.id in
+    let lo = first.(i) and hi = first.(i + 1) in
+    if lo = hi then add (Missing id)
+    else begin
+      let f = chain.(lo) in
+      let cols = segs.(f).Strip_state.seg_cols in
+      if g.from.(f) < g.rel.(i) then add (Early_start id);
+      let chain_ok = ref (g.upto.(chain.(hi - 1)) - g.from.(f) = g.heights.(i)) in
+      let outside = ref false in
+      let prev_to = ref g.from.(f) in
+      for c = lo to hi - 1 do
+        let j = chain.(c) and s = segs.(chain.(c)) in
+        if g.from.(j) <> !prev_to || g.upto.(j) <= g.from.(j) || s.Strip_state.seg_cols <> cols then
+          chain_ok := false;
+        prev_to := g.upto.(j);
+        if s.Strip_state.seg_lo < 0 || s.Strip_state.seg_lo + s.Strip_state.seg_cols > k then
+          outside := true
+      done;
+      if not !chain_ok then add (Chain_gap id);
+      if !outside then add (Out_of_strip id);
+      if cols < g.need.(i) then add (Too_narrow id)
+    end
+  done;
+  let unknown = Hashtbl.create 1 in
+  for j = 0 to m - 1 do
+    let id = segs.(j).Strip_state.seg_id in
+    if g.owner.(j) < 0 && not (Hashtbl.mem unknown id) then begin
+      Hashtbl.replace unknown id ();
+      add (Unknown_task id)
+    end
+  done;
+  let colliding =
+    Spp_geom.Sweep.pairs ~compare:Int.compare ~lo:g.from ~hi:g.upto (fun i j ->
+        segs.(i).Strip_state.seg_id <> segs.(j).Strip_state.seg_id
+        && g.from.(i) < g.upto.(j)
+        && g.from.(j) < g.upto.(i)
+        && overlap_cols segs.(i).Strip_state.seg_lo segs.(i).Strip_state.seg_cols
+             segs.(j).Strip_state.seg_lo segs.(j).Strip_state.seg_cols)
+  in
+  List.rev_append !violations (first_overlaps segs colliding)
+
+let check (inst : I.Release.t) (r : report) =
+  let tasks = Array.of_list inst.I.Release.tasks and segs = Array.of_list r.segments in
+  match Scale.fits (fun () -> check_ticks inst tasks segs) with
+  | Some g -> tick_check inst tasks segs g
+  | None ->
+    (* Only segments whose time intervals meet can collide: sweep over
+       time. A task pair is reported once, at its first colliding segment
+       pair in log order. *)
+    task_violations inst r
+    @ first_overlaps segs
+        (Spp_geom.Sweep.pairs ~compare:Q.compare
+           ~lo:(Array.map (fun (s : Strip_state.segment) -> s.Strip_state.seg_from) segs)
+           ~hi:(Array.map (fun (s : Strip_state.segment) -> s.Strip_state.seg_to) segs)
+           (fun i j -> collide segs.(i) segs.(j)))
+
+let check_on_ticks (inst : I.Release.t) (r : report) =
+  Option.is_some
+    (Scale.fits (fun () ->
+         check_ticks inst (Array.of_list inst.I.Release.tasks) (Array.of_list r.segments)))
 
 (* The rational loop and the pairwise segment loop: the oracles the
    differential tests compare [run] and [check] with. *)

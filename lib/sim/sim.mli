@@ -111,10 +111,26 @@ val pp_violation : Format.formatter -> violation -> unit
     then one [Unknown_task id] per id the instance does not have, in
     order of its first segment in the log; then one [Overlap (a, b)]
     ([a < b]) per colliding task pair, in the order of the first
-    colliding segment pair in log order. Colliding segments are found by
+    colliding segment pair in log order. A task's chain is its segments
+    by start, equal starts in reverse log order; its first segment sets
+    the columns it is checked against. Colliding segments are found by
     one sweep over time ({!Spp_geom.Sweep.pairs}): a sound log costs
-    O(s log s + s·k) for [s] segments on [k] columns. *)
+    O(s log s + s·k) for [s] segments on [k] columns.
+
+    It runs on ticks of [1/s], [s] the lcm of the denominators of the
+    instance's heights and releases and of the log's endpoints, its own
+    scale, whatever grid {!run} used: each task's segments gathered by a
+    counting sort over instance positions, every time comparison on
+    ints, and [Too_narrow] as [cols < ⌈a·k/b⌉] for the width [a/b]
+    (exactly [cols/k < a/b]). The guard: [s] fits a native int, every
+    height, release and endpoint is at most 2{^60} ticks, and every
+    width [a/b] is in (0, 1] with [a·k] at most 2{^60}. Past it the same checks run on rationals, with the
+    same result; {!check_on_ticks} tells which. *)
 val check : Spp_core.Instance.Release.t -> report -> violation list
+
+(** [check_on_ticks inst report] is [true] when {!check} runs on ticks
+    for this pair, [false] when it runs on rationals. *)
+val check_on_ticks : Spp_core.Instance.Release.t -> report -> bool
 
 (** The oracles. Only the tests, [lib/check] and the benchmark harness
     call them; {!run} falls back to [Reference.run] off the tick grid. *)
@@ -130,9 +146,9 @@ module Reference : sig
     Spp_core.Instance.Release.t ->
     report
 
-  (** {!check} with its overlap part done by a pairwise O(s²) loop over
-      the segment log: [Reference.check inst r] equals [check inst r],
-      order included. *)
+  (** {!check} on rationals throughout, with its overlap part done by a
+      pairwise O(s²) loop over the segment log: [Reference.check inst r]
+      equals [check inst r], order included. *)
   val check : Spp_core.Instance.Release.t -> report -> violation list
 end
 

@@ -161,6 +161,81 @@ let test_validate_release_violations () =
   Alcotest.(check bool) "same as reference" true
     (Validate.check_release inst (at (q 1 2)) = Validate.Reference.check_release inst (at (q 1 2)))
 
+let extras (vs : Validate.violation list) =
+  List.filter_map (function Validate.Extra_rect id -> Some id | _ -> None) vs
+
+let test_validate_extras_in_placement_order () =
+  (* Extras are reported in placement order, not by id or hash. *)
+  let inst = prec [ rect 0 1 2 1 1; rect 1 1 2 1 1 ] [ (0, 1) ] in
+  let at (r : Rect.t) x y = { Placement.rect = r; pos = { Placement.x; y } } in
+  let ids = [ 40; 7; 23; 1000; 3 ] in
+  let p =
+    Placement.of_items
+      (at (I.Prec.rect inst 0) Q.zero Q.zero
+      :: at (I.Prec.rect inst 1) Q.zero Q.one
+      :: List.mapi (fun k id -> at (rect id 1 2 1 1) (q 1 2) (Q.of_int k)) ids)
+  in
+  Alcotest.(check (list int)) "check_prec" ids (extras (Validate.check_prec inst p));
+  Alcotest.(check (list int)) "reference" ids (extras (Validate.Reference.check_prec inst p));
+  let rinst =
+    I.Release.make ~k:2
+      [ { I.Release.rect = I.Prec.rect inst 0; release = Q.zero };
+        { I.Release.rect = I.Prec.rect inst 1; release = Q.zero } ]
+  in
+  Alcotest.(check (list int)) "check_release" ids (extras (Validate.check_release rinst p));
+  Alcotest.(check (list int)) "release reference" ids (extras (Validate.Reference.check_release rinst p))
+
+(* Inputs no integer grid can hold: two denominators whose lcm passes a
+   native int (primes near 2^32), and values times p/(p+1), p = 2^61 - 1,
+   past 2^60. Each runs on rationals and returns the reference's result. *)
+let p32 = 4294967291
+let p32' = 4294967279
+let p61 = (1 lsl 61) - 1
+let past_2_60 = q p61 (p61 + 1)
+
+let taller factor (r : Rect.t) = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h factor)
+
+let test_validate_past_the_grid () =
+  let show vs = List.map (Format.asprintf "%a" Validate.pp_violation) vs in
+  let same label got expect =
+    Alcotest.(check (list string)) label (show expect) (show got);
+    Alcotest.(check bool) (label ^ ": a violation") true (got <> [])
+  in
+  let at (r : Rect.t) x y = { Placement.rect = r; pos = { Placement.x; y } } in
+  (* Side by side and overlapping, against the edge (0, 1). *)
+  let lcm_inst =
+    prec [ Rect.make ~id:0 ~w:(q 1 2) ~h:(q 1 p32); Rect.make ~id:1 ~w:(q 1 2) ~h:(q 1 p32') ] [ (0, 1) ]
+  in
+  let lcm_p =
+    Placement.of_items [ at (I.Prec.rect lcm_inst 0) Q.zero Q.zero; at (I.Prec.rect lcm_inst 1) (q 1 4) Q.zero ]
+  in
+  let big_inst = I.Prec.make (List.map (taller past_2_60) (diamond_inst ()).rects) (diamond_inst ()).dag in
+  let big_p =
+    Placement.of_items
+      (List.map (fun (r : Rect.t) -> at r Q.zero (q (r.Rect.id) 3)) big_inst.rects)
+  in
+  List.iter
+    (fun (label, inst, p) ->
+      Alcotest.(check bool) (label ^ ": off the grid") false (Placement.on_grid p);
+      same label (Validate.check_prec inst p) (Validate.Reference.check_prec inst p))
+    [ ("lcm past max_int", lcm_inst, lcm_p); ("values past 2^60", big_inst, big_p) ];
+  (* Release times alone off the grid, and everything scaled. *)
+  let release_inst rects releases =
+    I.Release.make ~k:2 (List.map2 (fun rect release -> { I.Release.rect; release }) rects releases)
+  in
+  let two = [ rect 0 1 2 1 1; rect 1 1 2 1 2 ] in
+  let lcm_r = release_inst two [ q 1 p32; q 1 p32' ] in
+  let big_r = release_inst (List.map (taller past_2_60) two) [ Q.zero; past_2_60 ] in
+  let at_zero inst =
+    Placement.of_items (List.map (fun r -> at r Q.zero Q.zero) (I.Release.rects inst))
+  in
+  List.iter
+    (fun (label, inst) ->
+      let p = at_zero inst in
+      Alcotest.(check bool) (label ^ ": off the grid") false (Validate.on_grid_release inst p);
+      same label (Validate.check_release inst p) (Validate.Reference.check_release inst p))
+    [ ("releases, lcm past max_int", lcm_r); ("releases, values past 2^60", big_r) ]
+
 (* ------------------------------------------------------------------ *)
 (* DC (Theorem 2.3) *)
 
@@ -287,6 +362,30 @@ let test_dc_matches_reference () =
             | Spp_core.Io.Release _ -> ())
         (Sys.readdir dir))
     [ data; Filename.concat data "corpus" ]
+
+let test_dc_past_the_grid () =
+  let lcm_inst =
+    prec
+      [ Rect.make ~id:0 ~w:(q 1 2) ~h:(q 1 p32); Rect.make ~id:1 ~w:(q 1 2) ~h:(q 1 p32');
+        rect 2 1 2 1 1; rect 3 1 4 3 4 ]
+      [ (0, 2); (1, 2); (1, 3) ]
+  in
+  let layered =
+    Spp_workloads.Generators.random_prec (Spp_util.Prng.create 7) ~n:64 ~k:8 ~h_den:4 ~shape:`Layered
+  in
+  let scaled (inst : I.Prec.t) = I.Prec.make (List.map (taller past_2_60) inst.rects) inst.dag in
+  List.iter
+    (fun (label, (inst : I.Prec.t)) ->
+      Alcotest.(check bool) (label ^ ": off the grid") false (Dc.on_grid inst);
+      check_dc_reference label inst;
+      let bot, mid, top = Dc.split inst in
+      Alcotest.(check bool) (label ^ ": split partitions, mid non-empty") true
+        (mid <> []
+        && List.sort compare (bot @ mid @ top)
+           = List.sort compare (List.map (fun (r : Rect.t) -> r.Rect.id) inst.rects)))
+    [ ("lcm past max_int", lcm_inst); ("diamond past 2^60", scaled (diamond_inst ()));
+      ("layered n = 64 past 2^60", scaled layered) ];
+  Alcotest.(check bool) "as generated: on the grid" true (Dc.on_grid layered)
 
 let prop_dc_matches_reference =
   QCheck.Test.make ~name:"DC = Dc.Reference, item for item" ~count:150 prec_gen (fun inst ->
@@ -829,6 +928,8 @@ let () =
         [
           Alcotest.test_case "precedence violations" `Quick test_validate_catches_violations;
           Alcotest.test_case "release violations" `Quick test_validate_release_violations;
+          Alcotest.test_case "extras in placement order" `Quick test_validate_extras_in_placement_order;
+          Alcotest.test_case "past the grids" `Quick test_validate_past_the_grid;
         ] );
       ( "dc",
         Alcotest.test_case "single rect" `Quick test_dc_single_rect
@@ -837,6 +938,7 @@ let () =
         :: Alcotest.test_case "diamond valid" `Quick test_dc_diamond
         :: Alcotest.test_case "split on diamond" `Quick test_dc_split_diamond
         :: Alcotest.test_case "same as the reference" `Quick test_dc_matches_reference
+        :: Alcotest.test_case "past the height grid" `Quick test_dc_past_the_grid
         :: qt
              [ prop_dc_split_lemmas; prop_dc_valid; prop_dc_induction_bound;
                prop_dc_with_ffdh_subroutine; prop_dc_matches_reference ] );

@@ -140,6 +140,31 @@ let test_sweep_pile () =
   Alcotest.(check int) "stair pairs" (n - 1) (List.length (Placement.check stairs));
   same_as_reference "staircase" stairs
 
+(* Placements no integer grid can hold run on rationals with the
+   reference's result: x over two primes near 2^32 (their lcm passes a
+   native int), y times p/(p+1) for p = 2^61 - 1 (past 2^60), and a zero
+   height, where the sweep's candidates need not meet in y. *)
+let test_placement_past_the_grid () =
+  let p32 = 4294967291 and p32' = 4294967279 and p61 = (1 lsl 61) - 1 in
+  let big = q p61 (p61 + 1) in
+  let tall id = Rect.make ~id ~w:(q 1 2) ~h:big in
+  let flat = { Rect.id = 1; w = q 1 2; h = Q.zero } in
+  List.iter
+    (fun (label, items) ->
+      let p = Placement.of_items items in
+      Alcotest.(check bool) (label ^ ": off the grid") false (Placement.on_grid p);
+      Alcotest.(check bool) (label ^ ": a violation") true (Placement.check p <> []);
+      same_as_reference label p)
+    [ ( "lcm past max_int",
+        [ item (rect 0 1 p32 1 1) (pos Q.zero Q.zero); item (rect 1 1 p32' 1 1) (pos Q.zero (q 1 2));
+          item (rect 2 1 2 1 1) (pos (Q.sub Q.one (q 1 p32)) Q.zero) ] );
+      ("values past 2^60", [ item (tall 0) (pos Q.zero Q.zero); item (tall 1) (pos (q 1 4) (Q.div big Q.two)) ]);
+      ( "zero height",
+        [ item (rect 0 1 2 1 1) (pos Q.zero Q.zero); item flat (pos Q.zero Q.zero);
+          item (rect 2 1 2 1 1) (pos (q 3 4) Q.one) ] ) ];
+  Alcotest.(check bool) "eighths and quarters: on the grid" true
+    (Placement.on_grid (Placement.of_items [ item (rect 0 1 8 3 4) (pos (q 7 8) (q 5 4)) ]))
+
 let prop_sweep_matches_reference =
   QCheck.Test.make ~name:"sweep check equals the pairwise reference" ~count:500
     QCheck.(
@@ -358,6 +383,7 @@ let () =
           Alcotest.test_case "sweep: equal bottoms" `Quick test_sweep_equal_bottoms;
           Alcotest.test_case "sweep: bottom on a top" `Quick test_sweep_bottom_on_top;
           Alcotest.test_case "sweep: pile of 64" `Quick test_sweep_pile;
+          Alcotest.test_case "past the grids" `Quick test_placement_past_the_grid;
         ]
         @ qt [ prop_sweep_matches_reference ] );
       ( "skyline",

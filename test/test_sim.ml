@@ -295,6 +295,36 @@ let test_sim_check_unknown_task () =
   Alcotest.(check (list string)) "check" expected (show (Sim.check inst tampered));
   Alcotest.(check (list string)) "reference check" expected (show (Sim.Reference.check inst tampered))
 
+(* Logs no tick grid can hold are checked on rationals with the
+   reference's result: releases over two primes near 2^32 (their lcm
+   passes a native int), and every time times p/(p+1) for p = 2^61 - 1
+   (past 2^60). Every segment is moved to column 0, so tasks collide. *)
+let test_sim_check_past_the_ticks () =
+  let p32 = 4294967291 and p32' = 4294967279 and p61 = (1 lsl 61) - 1 in
+  let times factor (inst : I.Release.t) =
+    I.Release.make ~k:inst.I.Release.k
+      (List.map
+         (fun (t : I.Release.task) ->
+           let r = t.I.Release.rect in
+           { I.Release.rect = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h factor);
+             release = Q.mul t.I.Release.release factor })
+         inst.I.Release.tasks)
+  in
+  let lcm_inst =
+    I.Release.make ~k:2
+      [ { I.Release.rect = Rect.make ~id:0 ~w:(q "1/2") ~h:Q.one; release = Q.of_ints 1 p32 };
+        { I.Release.rect = Rect.make ~id:1 ~w:(q "1/2") ~h:Q.one; release = Q.of_ints 1 p32' } ]
+  in
+  let show vs = List.map (Format.asprintf "%a" Sim.pp_violation) vs in
+  List.iter
+    (fun (label, inst) ->
+      let r = Sim.run ~packer:Online.First_fit inst in
+      let r = { r with Sim.segments = List.map (fun (s : Strip.segment) -> { s with Strip.seg_lo = 0 }) r.Sim.segments } in
+      Alcotest.(check bool) (label ^ ": off the ticks") false (Sim.check_on_ticks inst r);
+      Alcotest.(check bool) (label ^ ": a violation") true (Sim.check inst r <> []);
+      Alcotest.(check (list string)) label (show (Sim.Reference.check inst r)) (show (Sim.check inst r)))
+    [ ("lcm past max_int", lcm_inst); ("values past 2^60", times (Q.of_ints p61 (p61 + 1)) (golden_trace ())) ]
+
 (* A canonical print of a whole report: every field, each repack event
    and each segment, rationals as Q.to_string. *)
 let report_digest (r : Sim.report) =
@@ -423,6 +453,7 @@ let () =
           Alcotest.test_case "repack accounting" `Quick test_sim_repack_accounting;
           Alcotest.test_case "validator catches tampering" `Quick test_sim_check_catches_planted_overlap;
           Alcotest.test_case "validator names unknown tasks" `Quick test_sim_check_unknown_task;
+          Alcotest.test_case "validator past the ticks" `Quick test_sim_check_past_the_ticks;
           Alcotest.test_case "reports pinned by digest" `Quick test_sim_reports_pinned;
           Alcotest.test_case "metrics published" `Quick test_sim_metrics_published;
           Alcotest.test_case "packer parsing" `Quick test_packer_parse;
