@@ -5,9 +5,10 @@
    Each experiment also writes its tables as BENCH_e<N>.json next to the
    working directory, so tooling reads metric values without scraping text.
 
-   Usage:  main.exe [e1|...|e20|quality|timing|all]   (default: all)
+   Usage:  main.exe [e1|...|e13|e17|...|e20|quality|timing|all]   (default: all)
    e20 accepts an optional second argument "quick" (fewer reps, shorter
-   fuses) for CI.  *)
+   fuses) for CI. E14-E16 (serve, observability overhead, cluster) are
+   retired: bench/e2e measures the same paths end to end.  *)
 
 module Q = Spp_num.Rat
 module Rect = Spp_geom.Rect
@@ -37,7 +38,7 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "================================================================\n"
 
-module Json = Spp_server.Json
+module Json = Spp_util.Json
 
 (* Machine-readable twin of each experiment's printed tables, written to
    BENCH_<id>.json in the working directory. Cells that parse as numbers
@@ -823,309 +824,6 @@ let timing () =
         results)
     tests
 
-let e14 () =
-  section
-    "E14  Network serving layer — closed-loop clients against one shared\n\
-    \     spp serve daemon (worker pool + LRU over a socket) vs paying a\n\
-    \     fresh engine per request (the one-process-per-solve model)";
-  let module Engine = Spp_engine.Engine in
-  let module Io = Spp_core.Io in
-  let module Clock = Spp_util.Clock in
-  let module Framing = Spp_server.Framing in
-  let module Protocol = Spp_server.Protocol in
-  let module Server = Spp_server.Server in
-  let module Client = Spp_server.Client in
-  let corpus =
-    [ Io.prec_to_string
-        (let rng = Prng.create 61 in
-         Generators.random_prec rng ~n:8 ~k:8 ~h_den:4 ~shape:`Series_parallel);
-      Io.prec_to_string
-        (let rng = Prng.create 62 in
-         Generators.random_prec rng ~n:10 ~k:8 ~h_den:4 ~shape:`Layered);
-      Io.prec_to_string (Generators.jpeg_pipeline ~blocks:3 ~k:8);
-      Io.release_to_string
-        (let rng = Prng.create 63 in
-         Generators.random_release rng ~n:8 ~k:2 ~h_den:4 ~r_den:2 ~load:1.3) ]
-    |> Array.of_list
-  in
-  let budget_ms = 50.0 in
-  let connections = 3 and per_conn = 16 in
-  let total = connections * per_conn in
-  let pick i = corpus.(i mod Array.length corpus) in
-  let t =
-    Table.create
-      ~columns:[ "mode"; "requests"; "wall ms"; "req/s"; "p50 ms"; "p95 ms"; "p99 ms"; "lru hits" ]
-  in
-  let row mode wall lats hits =
-    Table.add_row t
-      [ mode; string_of_int total; f2 wall; f2 (float_of_int total /. (wall /. 1000.));
-        f2 (Stats.quantile 0.5 lats); f2 (Stats.quantile 0.95 lats);
-        f2 (Stats.quantile 0.99 lats); hits ]
-  in
-  (* Baseline: every request builds its own engine — no sharing, no cache,
-     exactly what forking `spp solve` per request costs (minus exec). *)
-  let t0 = Clock.now_ms () in
-  let base_lats =
-    List.init total (fun i ->
-        let r0 = Clock.now_ms () in
-        let engine = Engine.create () in
-        ignore (Engine.solve ~budget_ms engine (Io.parse_string (pick i)));
-        Clock.elapsed_ms r0)
-  in
-  row "per-request engine" (Clock.elapsed_ms t0) base_lats "-";
-  (* Served: one daemon, closed-loop client threads over a Unix socket. *)
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "spp_bench_e14_%d.sock" (Unix.getpid ()))
-  in
-  let address = Framing.Unix_sock sock in
-  let srv =
-    Server.start
-      { Server.address; workers = 2; queue_depth = 32; engine = Engine.create ();
-        default_budget_ms = Some budget_ms; solve_workers = Some 1;
-        max_request_bytes = Server.default_max_request_bytes; slow_ms = None;
-        idle_timeout_ms = None; read_timeout_ms = None;
-        retry_after_ms = Server.default_retry_after_ms; max_worker_restarts = None;
-        deadline_floor_ms = Server.default_deadline_floor_ms }
-  in
-  let lats = Array.make connections [] in
-  let t0 = Clock.now_ms () in
-  let threads =
-    List.init connections (fun ci ->
-        Thread.create
-          (fun () ->
-            Client.with_connection address (fun c ->
-                for r = 0 to per_conn - 1 do
-                  let r0 = Clock.now_ms () in
-                  (match
-                     Client.request c
-                       (Protocol.Solve
-                          { instance = pick (ci + (r * connections)); budget_ms = None;
-                            deadline_ms = None; algos = None; trace_id = None })
-                   with
-                   | Protocol.Solve_ok _ -> ()
-                   | _ -> failwith "E14: unexpected reply");
-                  lats.(ci) <- Clock.elapsed_ms r0 :: lats.(ci)
-                done))
-          ())
-  in
-  List.iter Thread.join threads;
-  let served_wall = Clock.elapsed_ms t0 in
-  let hits =
-    match Client.with_connection address (fun c -> Client.request c Protocol.Metrics) with
-    | Protocol.Metrics_ok m -> string_of_int m.Protocol.cache.Protocol.hits
-    | _ -> "?"
-  in
-  Server.stop srv;
-  Server.wait srv;
-  row "spp serve (shared)" served_wall (Array.to_list lats |> List.concat) hits;
-  Table.print t;
-  bench_json ~id:"e14" [ ("serve", t) ];
-  Printf.printf
-    "\nShape: the daemon computes each distinct instance once and serves every\n\
-     repeat from the shared LRU at socket-round-trip latency, so the served\n\
-     p50 collapses to well under a millisecond while the per-request-engine\n\
-     baseline pays the full solve (up to the budget) every time.\n"
-
-(* ------------------------------------------------------------------ *)
-(* E15 — observability overhead: the same engine workload with the
-   metrics registry live vs. disabled. The target from DESIGN.md is
-   < 2% on the cache-hit hot path (one atomic increment per counter). *)
-
-let e15 () =
-  section
-    "E15  Instrumentation overhead — identical workloads on an engine with\n\
-    \    the metrics registry enabled vs. disabled (target: < 2% on hits)";
-  let module Engine = Spp_engine.Engine in
-  let module Telemetry = Spp_engine.Telemetry in
-  let module Metrics = Spp_obs.Metrics in
-  let module Clock = Spp_util.Clock in
-  let module Io = Spp_core.Io in
-  let distinct = 120 and hit_passes = 60 in
-  let corpus =
-    Array.init distinct (fun i ->
-        let rng = Prng.create (9000 + i) in
-        Io.parse_string
-          (Io.prec_to_string
-             (Generators.random_prec rng ~n:6 ~k:4 ~h_den:4 ~shape:`Series_parallel)))
-  in
-  let run_mode engine =
-    (* Computed path: every instance is a miss. *)
-    let t0 = Clock.now_ms () in
-    Array.iter (fun p -> ignore (Engine.solve ~algos:[ "dc" ] ~workers:1 engine p)) corpus;
-    let computed_ms = Clock.elapsed_ms t0 in
-    (* Hot path: every solve is an in-memory LRU hit. *)
-    let t0 = Clock.now_ms () in
-    for _ = 1 to hit_passes do
-      Array.iter (fun p -> ignore (Engine.solve ~algos:[ "dc" ] ~workers:1 engine p)) corpus
-    done;
-    (computed_ms, Clock.elapsed_ms t0)
-  in
-  let off_engine () =
-    Engine.create
-      ~telemetry:(Telemetry.create ~metrics:(Metrics.create ~enabled:false ()) ())
-      ~cache_capacity:(2 * distinct) ()
-  in
-  let on_engine () = Engine.create ~cache_capacity:(2 * distinct) () in
-  (* Warm-up pass so allocator/code paths are hot before either timing;
-     then best-of-3 per mode — at ~10 us per cache hit the run-to-run
-     noise would otherwise dwarf the instrumentation delta. *)
-  ignore (run_mode (off_engine ()));
-  let best mk =
-    let runs = List.init 3 (fun _ -> run_mode (mk ())) in
-    ( List.fold_left (fun acc (c, _) -> Float.min acc c) Float.infinity runs,
-      List.fold_left (fun acc (_, h) -> Float.min acc h) Float.infinity runs )
-  in
-  let off_computed, off_hits = best off_engine in
-  let on_computed, on_hits = best on_engine in
-  let hits = distinct * hit_passes in
-  let t =
-    Table.create
-      ~columns:[ "mode"; "computed ms"; "ms/solve"; "hit ms"; "us/hit" ]
-  in
-  let row mode computed hit =
-    Table.add_row t
-      [ mode; f2 computed; f3 (computed /. float_of_int distinct); f2 hit;
-        f2 (1000. *. hit /. float_of_int hits) ]
-  in
-  row "metrics disabled" off_computed off_hits;
-  row "metrics enabled" on_computed on_hits;
-  Table.print t;
-  bench_json ~id:"e15" [ ("obs_overhead", t) ];
-  let pct on off = if off > 0. then 100. *. (on -. off) /. off else 0. in
-  Printf.printf
-    "\nOverhead: %+.2f%% on the computed path, %+.2f%% on the cache-hit path\n\
-     (negative values are run-to-run noise; the hit path is the one that\n\
-     matters, and its per-request cost is a handful of atomic increments).\n"
-    (pct on_computed off_computed) (pct on_hits off_hits)
-
-(* ------------------------------------------------------------------ *)
-(* E16 — cluster front tier: the same duplicate-heavy closed-loop load
-   against one spp serve vs an spp proxy over three backends. The proxy
-   adds a hop, but coalescing collapses concurrent duplicates into one
-   upstream solve and the snooped warm cache answers repeats without
-   touching a backend at all. *)
-
-let e16 () =
-  section
-    "E16  Cluster proxy — duplicate-heavy closed-loop clients against one\n\
-    \     spp serve vs an spp proxy sharding over three backends with\n\
-    \     request coalescing and a snooped warm cache";
-  let module Engine = Spp_engine.Engine in
-  let module Io = Spp_core.Io in
-  let module Clock = Spp_util.Clock in
-  let module Metrics = Spp_obs.Metrics in
-  let module Framing = Spp_server.Framing in
-  let module Protocol = Spp_server.Protocol in
-  let module Server = Spp_server.Server in
-  let module Client = Spp_server.Client in
-  let module Proxy = Spp_cluster.Proxy in
-  (* Two distinct instances cycled by four connections: every request
-     after the first sighting of each instance is a duplicate — the
-     regime proxies exist for. *)
-  let corpus =
-    [| Io.prec_to_string
-         (let rng = Prng.create 71 in
-          Generators.random_prec rng ~n:8 ~k:8 ~h_den:4 ~shape:`Series_parallel);
-       Io.prec_to_string
-         (let rng = Prng.create 72 in
-          Generators.random_prec rng ~n:10 ~k:8 ~h_den:4 ~shape:`Layered) |]
-  in
-  let budget_ms = 50.0 in
-  let connections = 4 and per_conn = 16 in
-  let total = connections * per_conn in
-  let pick i = corpus.(i mod Array.length corpus) in
-  let sock tag =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "spp_bench_e16_%s_%d.sock" tag (Unix.getpid ()))
-  in
-  let start_server tag =
-    Server.start
-      { Server.address = Framing.Unix_sock (sock tag); workers = 1; queue_depth = 32;
-        engine = Engine.create (); default_budget_ms = Some budget_ms;
-        solve_workers = Some 1; max_request_bytes = Server.default_max_request_bytes;
-        slow_ms = None; idle_timeout_ms = None; read_timeout_ms = None;
-        retry_after_ms = Server.default_retry_after_ms; max_worker_restarts = None;
-        deadline_floor_ms = Server.default_deadline_floor_ms }
-  in
-  let hammer address =
-    let lats = Array.make connections [] in
-    let t0 = Clock.now_ms () in
-    let threads =
-      List.init connections (fun ci ->
-          Thread.create
-            (fun () ->
-              Client.with_connection address (fun c ->
-                  for r = 0 to per_conn - 1 do
-                    let r0 = Clock.now_ms () in
-                    (match
-                       Client.request c
-                         (Protocol.Solve
-                            { instance = pick (ci + (r * connections)); budget_ms = None;
-                              deadline_ms = None; algos = None; trace_id = None })
-                     with
-                     | Protocol.Solve_ok _ -> ()
-                     | _ -> failwith "E16: unexpected reply");
-                    lats.(ci) <- Clock.elapsed_ms r0 :: lats.(ci)
-                  done))
-            ())
-    in
-    List.iter Thread.join threads;
-    (Clock.elapsed_ms t0, Array.to_list lats |> List.concat)
-  in
-  let t =
-    Table.create
-      ~columns:
-        [ "mode"; "requests"; "wall ms"; "req/s"; "p50 ms"; "p95 ms"; "p99 ms";
-          "coalesced"; "cache hits" ]
-  in
-  let row mode wall lats coalesced hits =
-    Table.add_row t
-      [ mode; string_of_int total; f2 wall; f2 (float_of_int total /. (wall /. 1000.));
-        f2 (Stats.quantile 0.5 lats); f2 (Stats.quantile 0.95 lats);
-        f2 (Stats.quantile 0.99 lats); coalesced; hits ]
-  in
-  (* Baseline: one server, its own LRU doing the duplicate absorption. *)
-  let solo = start_server "solo" in
-  let solo_addr = Framing.Unix_sock (sock "solo") in
-  let wall, lats = hammer solo_addr in
-  Server.stop solo;
-  Server.wait solo;
-  row "spp serve (single)" wall lats "-" "-";
-  (* Cluster: three backends behind a coalescing, snooping proxy. *)
-  let backends = List.map start_server [ "b0"; "b1"; "b2" ] in
-  let registry = Metrics.create () in
-  let proxy_addr = Framing.Unix_sock (sock "proxy") in
-  let px =
-    Proxy.start
-      { (Proxy.default_config ~address:proxy_addr
-           ~backends:(List.map (fun tag -> Framing.Unix_sock (sock tag)) [ "b0"; "b1"; "b2" ])
-           ())
-        with
-        Proxy.registry; seed = 16 }
-  in
-  let wall, lats = hammer proxy_addr in
-  let counter name =
-    match Metrics.find_counter registry name with Some v -> string_of_int v | None -> "0"
-  in
-  let coalesced = counter "spp_proxy_coalesced_total" in
-  let hits = counter "spp_proxy_cache_hits_total" in
-  Proxy.stop px;
-  Proxy.wait px;
-  List.iter
-    (fun srv ->
-      Server.stop srv;
-      Server.wait srv)
-    backends;
-  row "spp proxy (3 backends)" wall lats coalesced hits;
-  Table.print t;
-  bench_json ~id:"e16" [ ("cluster", t) ];
-  Printf.printf
-    "\nShape: the proxy answers duplicate-heavy load at its own cache latency\n\
-     after one sighting per instance (cache hits), and concurrent first\n\
-     sightings share a single upstream solve (coalesced), so three backends\n\
-     behind one proxy see a fraction of the raw request stream.\n"
-
 let e17 () =
   section
     "E17  Online simulation — arrival-intensity sweep (Poisson rates and\n\
@@ -1180,8 +878,9 @@ let e17 () =
      wait reductions with migrated cells — the disruption column.\n"
 
 (* ------------------------------------------------------------------ *)
-(* E18 — solver-profiling overhead gate: the E15 workload with the
-   Profile counters enabled vs. disabled. The counters are ambient
+(* E18 — solver-profiling overhead gate: 120 distinct n = 6 instances
+   solved with dc, then 60 cache-hit passes over them, with the Profile
+   counters enabled vs. disabled. The counters are ambient
    (Domain.DLS cells, aggregated once per solver call), so the cache-hit
    hot path — which never reaches a solver — must stay inside the same
    < 2% envelope DESIGN.md grants the metrics registry. *)
@@ -1644,7 +1343,7 @@ let e20 ?(quick = false) () =
 
 let quality () =
   e1 (); e2 (); e3 (); e4 (); e5 (); e6 (); e7 (); e8 (); e9 (); e10 (); e11 (); e12 (); e13 ();
-  e14 (); e15 (); e16 (); e17 (); e18 (); e19 (); e20 ()
+  e17 (); e18 (); e19 (); e20 ()
 
 let () =
   match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
@@ -1661,9 +1360,6 @@ let () =
   | "e11" -> e11 ()
   | "e12" -> e12 ()
   | "e13" | "portfolio" -> e13 ()
-  | "e14" | "serve" -> e14 ()
-  | "e15" | "obs" -> e15 ()
-  | "e16" | "cluster" -> e16 ()
   | "e17" | "sim" -> e17 ()
   | "e18" | "profile" -> e18 ()
   | "e19" | "hedge" -> e19 ()
@@ -1675,5 +1371,5 @@ let () =
     quality ();
     timing ()
   | other ->
-    Printf.eprintf "unknown experiment %S (expected e1..e20, portfolio, serve, obs, cluster, sim, profile, hedge, exactcore, quality, timing, all)\n" other;
+    Printf.eprintf "unknown experiment %S (expected e1..e13, e17..e20, portfolio, sim, profile, hedge, exactcore, quality, timing, all; e14..e16 are retired, see bench/e2e)\n" other;
     exit 2

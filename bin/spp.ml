@@ -34,7 +34,7 @@ module Server = Spp_server.Server
 module Client = Spp_server.Client
 module Signals = Spp_server.Signals
 module Metrics_http = Spp_server.Metrics_http
-module Json = Spp_server.Json
+module Json = Spp_util.Json
 module Proxy = Spp_cluster.Proxy
 module Clock = Spp_util.Clock
 module Stats = Spp_util.Stats
@@ -1077,38 +1077,21 @@ let client_cmd =
           (if attempts > 1 then Printf.sprintf " (after %d attempts)" attempts else "");
         exit (exit_code_of_client_error kind)
     in
-    (* Render a reply-embedded span tree (the {!Trace.to_json} shape, as
-       stitched by the proxy) in the same indented style as [spp trace].
-       Lines are '#'-prefixed like the other reply headers, so the output
-       still round-trips through the instance parser. *)
+    (* Render a reply-embedded span tree (as stitched by the proxy) in
+       the same indented style as [spp trace]. Lines are '#'-prefixed like
+       the other reply headers, so the output still round-trips through
+       the instance parser. *)
     let print_reply_trace j =
-      let num = function
-        | Some (Json.Float f) -> Some f
-        | Some (Json.Int i) -> Some (float_of_int i)
-        | _ -> None
+      let rec go indent (i : Trace.imported) =
+        let dur =
+          match i.Trace.i_dur_ms with Some d -> Printf.sprintf "%.2f ms" d | None -> "open"
+        in
+        let field (k, v) = Printf.sprintf "  %s=%s" k (Json.to_string (Field.to_json v)) in
+        Printf.printf "# %s%s %s%s\n" indent i.Trace.i_name dur
+          (String.concat "" (List.map field i.Trace.i_fields));
+        List.iter (go (indent ^ "  ")) i.Trace.i_children
       in
-      let rec go indent j =
-        match Json.member "name" j with
-        | Some (Json.String name) ->
-          let dur =
-            match num (Json.member "ms" j) with
-            | Some d -> Printf.sprintf "%.2f ms" d
-            | None -> "open"
-          in
-          let fields =
-            match Json.member "fields" j with
-            | Some (Json.Obj kvs) ->
-              String.concat ""
-                (List.map (fun (k, v) -> Printf.sprintf "  %s=%s" k (Json.to_string v)) kvs)
-            | _ -> ""
-          in
-          Printf.printf "# %s%s %s%s\n" indent name dur fields;
-          (match Json.member "spans" j with
-           | Some (Json.List l) -> List.iter (go (indent ^ "  ")) l
-           | _ -> ())
-        | _ -> ()
-      in
-      Option.iter (go "") (Json.member "root" j)
+      Option.iter (go "") (Trace.import j)
     in
     match resp with
     | Protocol.Error { code; message; _ } ->

@@ -1,7 +1,6 @@
 module Client = Spp_server.Client
 module Framing = Spp_server.Framing
 module Listener = Spp_server.Listener
-module Json = Spp_server.Json
 module Bqueue = Spp_server.Bqueue
 module Deadline = Spp_util.Deadline
 module Protocol = Spp_server.Protocol
@@ -228,46 +227,6 @@ let no_backend_error t message =
     { code = Protocol.Overloaded; message;
       retry_after_ms = Some (int_of_float t.cfg.probe_interval_ms) }
 
-(* Rebuild a backend's reply-embedded span tree (the {!Trace.to_json}
-   shape: [{"trace_id":...,"root":{span}}], spans nested under ["spans"])
-   as a {!Trace.imported}, ready to graft under the proxy's [upstream]
-   span. Malformed nodes are dropped silently — a trace is best effort
-   and must never fail a solve. *)
-let rec imported_of_span j =
-  match Json.member "name" j with
-  | Some (Json.String name) ->
-    let num = function
-      | Some (Json.Float f) -> Some f
-      | Some (Json.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
-    let fields =
-      match Json.member "fields" j with
-      | Some (Json.Obj kvs) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with
-            | Json.String s -> Some (k, Field.String s)
-            | Json.Int i -> Some (k, Field.Int i)
-            | Json.Float f -> Some (k, Field.Float f)
-            | Json.Bool b -> Some (k, Field.Bool b)
-            | Json.Null | Json.List _ | Json.Obj _ -> None)
-          kvs
-      | _ -> []
-    in
-    let children =
-      match Json.member "spans" j with
-      | Some (Json.List l) -> List.filter_map imported_of_span l
-      | _ -> []
-    in
-    Some
-      { Trace.i_name = name;
-        i_start_ms = Option.value (num (Json.member "start_ms" j)) ~default:0.0;
-        i_dur_ms = num (Json.member "ms" j); i_fields = fields; i_children = children }
-  | _ -> None
-
-let imported_of_trace_json j = Option.bind (Json.member "root" j) imported_of_span
-
 (* How long to let the leading attempt run before re-issuing the solve
    to the next candidate. [None] = hedging off (policy off, or auto
    without enough latency history yet). *)
@@ -329,7 +288,7 @@ let run_attempt t ~instance ~budget_ms ~deadline ~algos ~trace ~hedged b =
                  supersedes it. *)
               Option.iter
                 (fun imp -> Trace.graft tr ~parent:s ~offset_ms:(Trace.start_ms s) imp)
-                (imported_of_trace_json j);
+                (Trace.import j);
               Protocol.Solve_ok { r with Protocol.trace = None }
             | other -> other)
     in
@@ -489,14 +448,11 @@ let snoop t fp = function
   | _ -> ()
 
 (* The client asked for a trace: embed the proxy's stitched tree in the
-   reply. Serialised before the root closes (the reply write belongs to
-   the requester's side of the timeline); {!Trace.to_json} renders the
-   open root without an ["ms"] field. *)
+   reply. Taken before the root closes (the reply write belongs to the
+   requester's side of the timeline); {!Trace.tree} leaves the open root
+   without an ["ms"] field. *)
 let embed_trace trace (r : Protocol.solve_reply) =
-  match trace with
-  | None -> { r with Protocol.trace = None }
-  | Some tr ->
-    { r with Protocol.trace = Result.to_option (Json.of_string (Trace.to_json tr)) }
+  { r with Protocol.trace = Option.map Trace.tree trace }
 
 (* The instance's fingerprint. Bytes seen before map straight to it
    through the text index; only unknown text is parsed (raising [Failure]

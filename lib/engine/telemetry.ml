@@ -1,6 +1,7 @@
 module Clock = Spp_util.Clock
 module Metrics = Spp_obs.Metrics
 module Field = Spp_obs.Field
+module Json = Spp_util.Json
 
 type field = Field.t =
   | String of string
@@ -74,21 +75,17 @@ let time t ~name ~fields f =
     finish "raised";
     raise e
 
-let escape = Field.escape
-let field_to_json = Field.to_json
-
 let to_json_lines t =
   let buf = Buffer.create 1024 in
+  let line kvs =
+    Buffer.add_string buf (Json.to_string (Json.Obj kvs));
+    Buffer.add_char buf '\n'
+  in
   List.iter
     (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"event\":\"%s\",\"t_ms\":%s" (escape e.name)
-           (field_to_json (Float e.at_ms)));
-      Field.add_fields buf e.fields;
-      Buffer.add_string buf "}\n")
+      line
+        (("event", Json.String e.name) :: ("t_ms", Field.to_json (Float e.at_ms))
+        :: List.map (fun (k, v) -> (k, Field.to_json v)) e.fields))
     (events t);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf (Printf.sprintf "{\"counter\":\"%s\",\"value\":%d}\n" (escape k) v))
-    (counters t);
+  List.iter (fun (k, v) -> line [ ("counter", Json.String k); ("value", Json.Int v) ]) (counters t);
   Buffer.contents buf

@@ -273,36 +273,27 @@ let solve ?(cancel = Spp_util.Cancel.never) ?(workers = 1) ?(dominance = true)
     let ntasks = Array.length tasks in
     let w = Stdlib.max 1 (Stdlib.min workers ntasks) in
     let all_stats = Array.init w (fun _ -> { nodes = 0; pruned = 0; dominated = 0 }) in
+    (* [w] workers drain the task counter, each with its own dominance
+       table: sound without sharing (each worker re-derives what it
+       needs), and it keeps the hot path free of cross-domain traffic. A
+       worker that raises stops the others at their next task. *)
     let search () =
-      if w <= 1 then begin
+      let next = Atomic.make 0 and failed = Atomic.make false in
+      let worker k =
         let seen = Hashtbl.create 256 in
-        Array.iter (run_task all_stats.(0) seen) tasks
-      end
-      else begin
-        let next = Atomic.make 0 in
-        let error = Atomic.make None in
-        (* Per-worker dominance tables: sound without sharing (each worker
-           re-derives what it needs), and they keep the hot path free of
-           cross-domain traffic. *)
-        let worker k () =
-          let stats = all_stats.(k) in
-          let seen = Hashtbl.create 256 in
-          let rec loop () =
-            let t = Atomic.fetch_and_add next 1 in
-            if t < ntasks && Atomic.get error = None then begin
-              (match run_task stats seen tasks.(t) with
-               | () -> ()
-               | exception e -> ignore (Atomic.compare_and_set error None (Some e)));
-              loop ()
-            end
-          in
-          loop ()
+        let rec loop () =
+          let t = Atomic.fetch_and_add next 1 in
+          if t < ntasks && not (Atomic.get failed) then begin
+            (try run_task all_stats.(k) seen tasks.(t)
+             with e ->
+               Atomic.set failed true;
+               raise e);
+            loop ()
+          end
         in
-        let domains = List.init (w - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-        worker 0 ();
-        List.iter Domain.join domains;
-        match Atomic.get error with Some e -> raise e | None -> ()
-      end
+        loop ()
+      in
+      ignore (Spp_util.Parallel.map ~workers:w worker (List.init w Fun.id))
     in
     let report () =
       let nodes = Array.fold_left (fun a s -> a + s.nodes) 0 all_stats in

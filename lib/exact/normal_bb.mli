@@ -41,8 +41,10 @@ type outcome = {
     [Spp_util.Cancel.Cancelled] rather than returning a partial answer, so
     a returned outcome is always the certified optimum.
 
-    [workers] (default 1) runs the search across that many domains; the
-    height is identical for every worker count. [dominance] (default
+    [workers] (default 1) runs the search across that many domains
+    through {!Spp_util.Parallel.map} (one worker runs inline on the
+    calling domain); the height is identical for every worker count, and
+    an abort is raised only after every worker has joined. [dominance] (default
     [true]) toggles the dominance table — the [false] setting exists for
     the exhaustive cross-checks in the test suite and for measuring the
     table's pruning power in bench e20.

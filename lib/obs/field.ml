@@ -1,36 +1,17 @@
+module Json = Spp_util.Json
+
 type t =
   | String of string
   | Int of int
   | Float of float
   | Bool of bool
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let float_repr f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
+(* Integral floats stay exact; the rest keep six significant digits, so
+   a span offset or a timing costs no more bytes than "%.6g" gives. *)
 let to_json = function
-  | String s -> Printf.sprintf "\"%s\"" (escape s)
-  | Int i -> string_of_int i
-  | Float f -> float_repr f
-  | Bool b -> string_of_bool b
-
-let add_fields buf fields =
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (escape k) (to_json v)))
-    fields
+  | String s -> Json.String s
+  | Int i -> Json.Int i
+  | Float f when (not (Float.is_finite f)) || (Float.is_integer f && Float.abs f < 1e15) ->
+    Json.Float f
+  | Float f -> Json.Float (float_of_string (Printf.sprintf "%.6g" f))
+  | Bool b -> Json.Bool b

@@ -1,6 +1,7 @@
 (** The structured-data atom shared by the whole observability layer:
     log lines, telemetry events, and trace span annotations all carry
-    [(string * Field.t) list] payloads and serialise them the same way. *)
+    [(string * Field.t) list] payloads, and all of them print through
+    the one JSON codec, {!Spp_util.Json}. *)
 
 type t =
   | String of string
@@ -8,13 +9,9 @@ type t =
   | Float of float
   | Bool of bool
 
-(** JSON string-body escaping (quotes, backslashes, control chars). *)
-val escape : string -> string
-
-(** [to_json f] is the JSON value text for one field ([Float nan] and
-    infinities print [null], like {!Spp_server.Json}). *)
-val to_json : t -> string
-
-(** [add_fields buf fields] appends [,"k":v] for each field — the tail of
-    a JSON object whose opening fields are already in [buf]. *)
-val add_fields : Buffer.t -> (string * t) list -> unit
+(** [to_json f] is the JSON value for one field. A float that is not
+    integral is rounded to six significant digits (what ["%.6g"] keeps),
+    so span trees, log lines and stats lines stay as short as timings
+    need; integral floats below [1e15] are kept exact, and [nan] and the
+    infinities print [null], as {!Spp_util.Json.to_string} prints them. *)
+val to_json : t -> Spp_util.Json.t

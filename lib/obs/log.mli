@@ -1,5 +1,7 @@
 (** Leveled structured logger: one JSON object per line,
-    [{"ts":<unix seconds>,"level":...,"msg":...,<fields>}].
+    [{"ts":<unix seconds, to the millisecond>,"level":...,"msg":...,<fields>}],
+    printed by {!Spp_util.Json} (fields through {!Field.to_json}), so
+    every line parses back with [Json.of_string].
 
     Process-global (a daemon has one log stream), mutex-protected, and
     flushed per line so a crashed daemon's tail is intact. Defaults to

@@ -242,10 +242,8 @@ let labels_to_string labels =
   match labels with
   | [] -> ""
   | _ ->
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (Field.escape v)) labels)
-    ^ "}"
+    let label (k, v) = k ^ "=" ^ Spp_util.Json.to_string (Spp_util.Json.String v) in
+    "{" ^ String.concat "," (List.map label labels) ^ "}"
 
 let counters t =
   snapshot t

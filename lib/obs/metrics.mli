@@ -11,8 +11,7 @@
     maintains (queue depth, LRU occupancy, uptime).
 
     A registry created with [~enabled:false] hands out no-op handles and
-    records nothing — snapshots and scrapes are empty — which is the
-    instrumentation-overhead baseline for bench E15. *)
+    records nothing — snapshots and scrapes are empty. *)
 
 type t
 

@@ -1,4 +1,5 @@
 module Clock = Spp_util.Clock
+module Json = Spp_util.Json
 module Prng = Spp_util.Prng
 
 type span = {
@@ -115,44 +116,55 @@ let total_ms t =
   | None -> Clock.elapsed_ms t.epoch_ms
 
 (* ------------------------------------------------------------------ *)
-(* Serialisation. Children are stored newest-first; emit chronological. *)
+(* The span-tree shape: written by [tree], read back by [import].
+   Children are stored newest-first; both sides are chronological. *)
 
-let to_json t =
-  let buf = Buffer.create 512 in
-  let rec emit s =
-    Buffer.add_string buf
-      (Printf.sprintf "{\"name\":\"%s\",\"start_ms\":%s" (Field.escape s.s_name)
-         (Field.to_json (Field.Float s.s_start_ms)));
-    (match s.s_dur_ms with
-     | Some d -> Buffer.add_string buf (Printf.sprintf ",\"ms\":%s" (Field.to_json (Field.Float d)))
-     | None -> ());
-    (match s.s_fields with
-     | [] -> ()
-     | fields ->
-       Buffer.add_string buf ",\"fields\":{";
-       List.iteri
-         (fun i (k, v) ->
-           if i > 0 then Buffer.add_char buf ',';
-           Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (Field.escape k) (Field.to_json v)))
-         fields;
-       Buffer.add_char buf '}');
-    (match List.rev s.s_children with
-     | [] -> ()
-     | children ->
-       Buffer.add_string buf ",\"spans\":[";
-       List.iteri
-         (fun i c ->
-           if i > 0 then Buffer.add_char buf ',';
-           emit c)
-         children;
-       Buffer.add_char buf ']');
-    Buffer.add_char buf '}'
+let tree t =
+  let ms f = Field.to_json (Field.Float f) in
+  let rec node s =
+    Json.Obj
+      ([ ("name", Json.String s.s_name); ("start_ms", ms s.s_start_ms) ]
+      @ (match s.s_dur_ms with Some d -> [ ("ms", ms d) ] | None -> [])
+      @ (match s.s_fields with
+         | [] -> []
+         | fs -> [ ("fields", Json.Obj (List.map (fun (k, v) -> (k, Field.to_json v)) fs)) ])
+      @
+      match s.s_children with
+      | [] -> []
+      | cs -> [ ("spans", Json.List (List.rev_map node cs)) ])
   in
-  locked t (fun () ->
-      Buffer.add_string buf (Printf.sprintf "{\"trace_id\":\"%s\",\"root\":" (Field.escape t.trace_id));
-      emit t.s_root;
-      Buffer.add_char buf '}');
-  Buffer.contents buf
+  locked t (fun () -> Json.Obj [ ("trace_id", Json.String t.trace_id); ("root", node t.s_root) ])
+
+let to_json t = Json.to_string (tree t)
+
+let import j =
+  let field (k, v) =
+    match v with
+    | Json.String s -> Some (k, Field.String s)
+    | Json.Int i -> Some (k, Field.Int i)
+    | Json.Float f -> Some (k, Field.Float f)
+    | Json.Bool b -> Some (k, Field.Bool b)
+    | Json.Null | Json.List _ | Json.Obj _ -> None
+  in
+  let rec node j =
+    match Json.member "name" j with
+    | Some (Json.String name) ->
+      let num key = Option.bind (Json.member key j) Json.get_float in
+      Some
+        { i_name = name;
+          i_start_ms = Option.value (num "start_ms") ~default:0.0;
+          i_dur_ms = num "ms";
+          i_fields =
+            (match Json.member "fields" j with
+             | Some (Json.Obj kvs) -> List.filter_map field kvs
+             | _ -> []);
+          i_children =
+            (match Json.member "spans" j with
+             | Some (Json.List l) -> List.filter_map node l
+             | _ -> []) }
+    | _ -> None
+  in
+  Option.bind (Json.member "root" j) node
 
 let render t =
   let buf = Buffer.create 512 in

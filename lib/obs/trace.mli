@@ -5,7 +5,12 @@
     serving stack opens a trace at admission (honouring a client-supplied
     id), threads it through the queue, the worker pool, the engine, and
     each racing algorithm, then renders it — as an ASCII tree for
-    [spp trace], or as one JSON line for the slow-request log.
+    [spp trace], or as a {!Spp_util.Json} value for the wire and the
+    slow-request log.
+
+    This module owns the span-tree shape: {!tree} writes it and
+    {!import} reads it back, so a tree crosses a hop (server to proxy,
+    proxy to client) as a value and no other code walks its keys.
 
     All mutation is under the trace's mutex, so racing domains may open
     and finish sibling spans concurrently. *)
@@ -42,7 +47,7 @@ val add_fields : t -> span -> (string * Field.t) list -> unit
 val start_ms : span -> float
 
 (** A span tree recorded by {e another} process, to be adopted into this
-    trace — the shape of the [root] object in {!to_json} output.
+    trace — what {!import} reads from the [root] of a {!tree}.
     [i_children] are chronological. *)
 type imported = {
   i_name : string;
@@ -65,10 +70,23 @@ val close : ?fields:(string * Field.t) list -> t -> unit
 (** Root duration if closed, else elapsed-so-far. *)
 val total_ms : t -> float
 
-(** One JSON line:
+(** The span tree as one JSON value:
     [{"trace_id":...,"root":{"name":...,"start_ms":...,"ms":...,
-    "fields":{...},"spans":[...]}}]. *)
+    "fields":{...},"spans":[...]}}]. Children are chronological; an open
+    span has no ["ms"], a span without fields or children no ["fields"]
+    or ["spans"]. Offsets, durations and float fields keep six
+    significant digits ({!Field.to_json}). *)
+val tree : t -> Spp_util.Json.t
+
+(** [to_json t] is [Json.to_string (tree t)]: one line. *)
 val to_json : t -> string
+
+(** [import j] reads the [root] of a {!tree} value — typically one that
+    came over the wire — ready for {!graft}. Malformed nodes (no string
+    ["name"]) are dropped with their subtrees, and field values that are
+    not strings, numbers or booleans are dropped: a trace is best effort
+    and must never fail a request. [None] when [j] has no usable root. *)
+val import : Spp_util.Json.t -> imported option
 
 (** Human-readable tree with durations, offsets, and span fields. *)
 val render : t -> string

@@ -70,5 +70,5 @@ val read_line :
 
 (** [write_line fd s] writes [s] followed by ['\n'], looping until all
     bytes are written. [s] must not contain ['\n'] (callers encode with
-    {!Protocol}/{!Json}, which escape it). *)
+    {!Protocol}/{!Spp_util.Json}, which escape it). *)
 val write_line : Unix.file_descr -> string -> unit

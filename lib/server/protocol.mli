@@ -71,9 +71,9 @@ type solve_reply = {
   gap : string option;
       (** exact-rational [height - lower_bound], always [>= 0] *)
   trace_id : string option;  (** present iff the request was traced *)
-  trace : Json.t option;
+  trace : Spp_util.Json.t option;
       (** the responder's span tree for this request — the value of
-          {!Spp_obs.Trace.to_json} — present only on traced requests.
+          {!Spp_obs.Trace.tree} — present only on traced requests.
           The proxy grafts a backend's tree under its own [upstream]
           span and replaces this field with the stitched trace, so the
           client sees one end-to-end tree. Stripped before replies are

@@ -80,17 +80,13 @@ let source_to_string = function
   | Engine.Memory_cache -> "cache.memory"
   | Engine.Disk_cache -> "cache.disk"
 
-(* The reply to a solve. A client-requested tree is serialised here,
-   after the engine spans closed but before reply.write and the root
-   close — those belong to the requester's side of the timeline (the
-   proxy's upstream span covers them). to_json renders open spans
-   without an "ms" field, so the open root is fine. *)
+(* The reply to a solve. A client-requested tree is taken here, after
+   the engine spans closed but before reply.write and the root close —
+   those belong to the requester's side of the timeline (the proxy's
+   upstream span covers them). Trace.tree leaves an open span without an
+   "ms" field, so the open root is fine. *)
 let solve_ok ~wants_trace trace (r : Engine.result) placement =
-  let tree =
-    if wants_trace then
-      Option.bind trace (fun tr -> Result.to_option (Json.of_string (Trace.to_json tr)))
-    else None
-  in
+  let tree = if wants_trace then Option.map Trace.tree trace else None in
   Protocol.Solve_ok
     { winner = r.Engine.winner; source = source_to_string r.Engine.source;
       height = Q.to_string r.Engine.height; time_ms = r.Engine.time_ms; placement;

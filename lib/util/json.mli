@@ -1,10 +1,14 @@
-(** Minimal JSON values, parser and printer for the wire protocol.
+(** Minimal JSON values, parser and printer: the one JSON codec.
 
-    The repository is dependency-sealed (no yojson), so the serving layer
-    carries its own JSON: the full value grammar, one-line compact
-    printing, and a recursive-descent parser that returns [Error] instead
-    of raising on malformed input — a junk byte from a client must become
-    an error reply, never a crash.
+    The repository is dependency-sealed (no yojson), so it carries its
+    own JSON: the full value grammar, one-line compact printing, and a
+    recursive-descent parser that returns [Error] instead of raising on
+    malformed input — a junk byte from a client must become an error
+    reply, never a crash. Everything that writes JSON builds a {!t} and
+    prints it here: the wire protocol, the JSON-lines log
+    ({!Spp_obs.Log}), the span trees ({!Spp_obs.Trace.tree}), the
+    [--stats-json] lines and the bench tables. A span tree crosses a hop
+    as a {!t} value, never as text printed only to be parsed again.
 
     Numbers parse to {!Int} when they are integral and fit an OCaml [int],
     to {!Float} otherwise; the printer keeps the distinction ([Float 2.]

@@ -362,6 +362,50 @@ let test_normal_bb_parallel_profile_attribution () =
   Alcotest.(check int) "profile nodes = outcome nodes (4 workers)"
     out.Normal_bb.nodes_expanded p.Spp_obs.Profile.bb_nodes
 
+let test_normal_bb_cancel_mid_search () =
+  (* A 3736-node seed, then about 1.5 million B&B nodes over four
+     workers. Another domain trips the token 1000 polls into the B&B
+     phase: the solve must raise [Cancelled] only once every worker has
+     joined, and the calling domain's profile must hold the nodes they
+     expanded. *)
+  let widths = [ 2; 9; 7; 6; 4; 3; 10 ] in
+  let inst = prec (List.mapi (fun i wn -> rect i wn 17 ((i mod 4) + 1) 3) widths) [] in
+  let seed_polls =
+    let t = Spp_util.Cancel.create () in
+    ignore (Order_search.best_prec ~cancel:t inst);
+    Spp_util.Cancel.polls t
+  in
+  let t = Spp_util.Cancel.create () in
+  let stop = Atomic.make false in
+  let trip =
+    Domain.spawn (fun () ->
+        while (not (Atomic.get stop)) && Spp_util.Cancel.polls t < seed_polls + 1000 do
+          Domain.cpu_relax ()
+        done;
+        Spp_util.Cancel.cancel t)
+  in
+  Spp_obs.Profile.reset ();
+  let result =
+    match Normal_bb.solve ~cancel:t ~workers:4 inst with
+    | _ -> "finished"
+    | exception Spp_util.Cancel.Cancelled -> "cancelled"
+  in
+  let polls = Spp_util.Cancel.polls t in
+  Atomic.set stop true;
+  Domain.join trip;
+  Alcotest.(check string) "stopped by the token" "cancelled" result;
+  Alcotest.(check bool) (Printf.sprintf "in the B&B phase (%d polls)" polls) true
+    (polls > seed_polls + 1000);
+  (* A worker still running after the raise would poll the token again. *)
+  Unix.sleepf 0.05;
+  Alcotest.(check int) "no poll after the raise" polls (Spp_util.Cancel.polls t);
+  (* Every poll but a raising one (at most one per worker) is a node. *)
+  let nodes = (Spp_obs.Profile.read ()).Spp_obs.Profile.bb_nodes in
+  Alcotest.(check bool)
+    (Printf.sprintf "profile holds the expanded nodes (%d nodes, %d polls)" nodes polls)
+    true
+    (nodes >= polls - 4 && nodes <= polls - 1)
+
 let prop_normal_bb_dominance_never_cuts =
   (* Exhaustive cross-check on n <= 6: the dominance-pruned search and the
      undominated search agree on the optimum for every generated DAG. *)
@@ -462,5 +506,7 @@ let () =
                prop_normal_bb_matches_dp_on_uniform;
                prop_normal_bb_dominance_never_cuts;
                prop_normal_bb_parallel_deterministic;
-             ] );
+             ]
+        @ [ Alcotest.test_case "cancelled mid-search, 4 workers" `Quick
+              test_normal_bb_cancel_mid_search ] );
     ]

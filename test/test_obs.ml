@@ -454,6 +454,96 @@ let test_trace_graft_rebases_offsets () =
   | [ Some (Json.String "race"); Some (Json.String "open.span") ] -> ()
   | _ -> Alcotest.failf "grafted children out of order: %s" js
 
+(* [Trace.import] is the one reader of the [Trace.tree] shape: what it
+   reads back is what the trace recorded, with floats at six significant
+   digits. *)
+let rec show_imported (i : Trace.imported) =
+  Printf.sprintf "%s@%g%s[%s]{%s}" i.Trace.i_name i.Trace.i_start_ms
+    (match i.Trace.i_dur_ms with Some d -> Printf.sprintf "+%g" d | None -> "(open)")
+    (String.concat ","
+       (List.map (fun (k, v) -> k ^ "=" ^ Json.to_string (Field.to_json v)) i.Trace.i_fields))
+    (String.concat ";" (List.map show_imported i.Trace.i_children))
+
+let imported = Alcotest.testable (fun ppf i -> Format.pp_print_string ppf (show_imported i)) ( = )
+
+let test_trace_import_reads_tree () =
+  let t = Trace.create ~id:"tree0001" ~name:"proxy" () in
+  let up = Trace.span t ~parent:(Trace.root t) "upstream" in
+  Trace.add_fields t up [ ("backend", Field.String "b1"); ("ratio", Field.Float (1.0 /. 3.0)) ];
+  let leaf name start dur fields =
+    { Trace.i_name = name; i_start_ms = start; i_dur_ms = dur; i_fields = fields; i_children = [] }
+  in
+  let remote =
+    { (leaf "request" 0.0 (Some 12.0)
+         [ ("winner", Field.String "dc"); ("nodes", Field.Int 28); ("gap", Field.Float 0.125);
+           ("degraded", Field.Bool false); ("whole", Field.Float 3.0) ])
+      with
+      Trace.i_children =
+        [ { (leaf "race" 2.5 (Some 9.0) []) with
+            Trace.i_children = [ leaf "algo:dc" 3.25 (Some 1.5) [ ("status", Field.String "solved") ] ] };
+          leaf "open.span" 3.0 None [] ] }
+  in
+  Trace.graft t ~parent:up ~offset_ms:10.0 remote;
+  Trace.finish t up;
+  let rec rebase d (i : Trace.imported) =
+    { i with
+      Trace.i_start_ms = i.Trace.i_start_ms +. d;
+      i_children = List.map (rebase d) i.Trace.i_children }
+  in
+  let check_root what j =
+    match Trace.import j with
+    | None -> Alcotest.failf "%s: no root" what
+    | Some root ->
+      Alcotest.(check string) (what ^ ": root name") "proxy" root.Trace.i_name;
+      Alcotest.(check (float 0.0)) (what ^ ": root offset") 0.0 root.Trace.i_start_ms;
+      Alcotest.(check (option (float 0.0))) (what ^ ": open root has no ms") None root.Trace.i_dur_ms;
+      (match root.Trace.i_children with
+       | [ u ] ->
+         Alcotest.(check string) (what ^ ": child") "upstream" u.Trace.i_name;
+         Alcotest.(check (float 1e-3)) (what ^ ": upstream offset") (Trace.start_ms up)
+           u.Trace.i_start_ms;
+         Alcotest.(check bool) (what ^ ": upstream finished") true (u.Trace.i_dur_ms <> None);
+         Alcotest.(check (list string)) (what ^ ": six significant digits")
+           [ "\"b1\""; "0.333333" ]
+           (List.map (fun (_, v) -> Json.to_string (Field.to_json v)) u.Trace.i_fields);
+         Alcotest.(check (list imported)) (what ^ ": grafted tree, every start rebased")
+           [ rebase 10.0 remote ] u.Trace.i_children
+       | cs -> Alcotest.failf "%s: %d children under the root" what (List.length cs))
+  in
+  check_root "value" (Trace.tree t);
+  check_root "text"
+    (match Json.of_string (Trace.to_json t) with Ok j -> j | Error e -> Alcotest.fail e);
+  (* Malformed nodes are dropped with their subtrees; bad field values too. *)
+  let node ?(extra = []) name = Json.Obj ((("name", name) :: extra)) in
+  let bad =
+    Json.Obj
+      [ ("trace_id", Json.String "x");
+        ( "root",
+          node (Json.String "r")
+            ~extra:
+              [ ( "spans",
+                  Json.List
+                    [ node (Json.String "kept") ~extra:[ ("start_ms", Json.Int 4) ];
+                      Json.Obj [ ("start_ms", Json.Int 1) ];
+                      node (Json.Int 5) ~extra:[ ("spans", Json.List [ node (Json.String "lost") ]) ];
+                      Json.String "junk";
+                      node (Json.String "fields")
+                        ~extra:
+                          [ ( "fields",
+                              Json.Obj
+                                [ ("l", Json.List [ Json.Int 1 ]); ("n", Json.Null);
+                                  ("s", Json.String "x"); ("o", Json.Obj []) ] ) ] ] ) ] ) ]
+  in
+  Alcotest.(check (option imported)) "malformed nodes dropped"
+    (Some
+       { (leaf "r" 0.0 None []) with
+         Trace.i_children =
+           [ leaf "kept" 4.0 None []; leaf "fields" 0.0 None [ ("s", Field.String "x") ] ] })
+    (Trace.import bad);
+  Alcotest.(check (option imported)) "no root" None (Trace.import (Json.Obj []));
+  Alcotest.(check (option imported)) "nameless root" None
+    (Trace.import (Json.Obj [ ("root", Json.Obj [ ("start_ms", Json.Int 0) ]) ]))
+
 (* ------------------------------------------------------------------ *)
 (* Trace id over the wire *)
 
@@ -583,6 +673,40 @@ let test_log_levels_and_shape () =
             (String.length l > 6 && String.sub l 0 6 = "{\"ts\":"))
         lines)
 
+(* Every log line is one [Json] object: msg and fields read back exactly,
+   whatever bytes they hold. *)
+let test_log_lines_parse_back () =
+  let nasty = "say \"hi\" \\ back\nslash \001\031 tab\t caf\xc3\xa9 \xe2\x9c\x93" in
+  with_log_file (fun path ->
+      Log.set_level Log.Debug;
+      let before = Unix.gettimeofday () in
+      Log.info nasty
+        [ ("s", Field.String nasty); ("i", Field.Int (-7)); ("f", Field.Float 0.25);
+          ("b", Field.Bool false) ];
+      Log.debug "plain" [];
+      let lines = String.split_on_char '\n' (String.trim (read_file path)) in
+      Alcotest.(check int) "one line per event" 2 (List.length lines);
+      let parsed =
+        List.map
+          (fun l -> match Json.of_string l with Ok j -> j | Error e -> Alcotest.failf "%s: %s" e l)
+          lines
+      in
+      let j = List.hd parsed in
+      let get k f = Option.bind (Json.member k j) f in
+      Alcotest.(check (option string)) "msg reads back" (Some nasty) (get "msg" Json.get_string);
+      Alcotest.(check (option string)) "string field reads back" (Some nasty)
+        (get "s" Json.get_string);
+      Alcotest.(check (option int)) "int field" (Some (-7)) (get "i" Json.get_int);
+      Alcotest.(check (option (float 0.0))) "float field" (Some 0.25) (get "f" Json.get_float);
+      Alcotest.(check (option bool)) "bool field" (Some false) (get "b" Json.get_bool);
+      Alcotest.(check (option string)) "level" (Some "info") (get "level" Json.get_string);
+      match get "ts" Json.get_float with
+      | None -> Alcotest.fail "no ts"
+      | Some ts ->
+        Alcotest.(check (float 0.0)) "ts to the millisecond" (Float.round (ts *. 1000.0) /. 1000.0) ts;
+        Alcotest.(check bool) "ts is wall-clock now" true
+          (ts >= before -. 0.001 && ts <= Unix.gettimeofday () +. 0.001))
+
 let test_slow_request_log () =
   with_log_file (fun path ->
       (* slow_ms = 0: every request is slow, so one solve must produce a
@@ -643,10 +767,12 @@ let () =
             test_trace_graft_rebases_offsets;
           Alcotest.test_case "trace id wire round-trip" `Quick test_trace_id_wire_roundtrip;
           Alcotest.test_case "live server echoes trace id" `Quick test_trace_id_live_echo;
+          Alcotest.test_case "import reads the tree back" `Quick test_trace_import_reads_tree;
         ] );
       ( "log",
         [
           Alcotest.test_case "levels and line shape" `Quick test_log_levels_and_shape;
           Alcotest.test_case "slow-request log" `Quick test_slow_request_log;
+          Alcotest.test_case "lines parse back" `Quick test_log_lines_parse_back;
         ] );
     ]
