@@ -255,11 +255,7 @@ let run_engine_solve engine ?budget_ms ?algos ?workers parsed =
 
 let print_result (res : Engine.result) =
   Printf.printf "# winner %s\n" res.Engine.winner;
-  Printf.printf "# source %s\n"
-    (match res.Engine.source with
-     | Engine.Computed -> "computed"
-     | Engine.Memory_cache -> "cache.memory"
-     | Engine.Disk_cache -> "cache.disk");
+  Printf.printf "# source %s\n" (Engine.source_to_string res.Engine.source);
   List.iter
     (fun (o : Engine.outcome) ->
       Printf.printf "# solver %-6s %-9s%s  %.2fms\n" o.Engine.solver
@@ -357,10 +353,7 @@ let batch_cmd =
           Table.add_row t
             [ f; variant; string_of_int n; res.Engine.winner;
               Q.to_string res.Engine.height; Printf.sprintf "%.1f" res.Engine.time_ms;
-              (match res.Engine.source with
-               | Engine.Computed -> "computed"
-               | Engine.Memory_cache -> "cache.memory"
-               | Engine.Disk_cache -> "cache.disk") ])
+              Engine.source_to_string res.Engine.source ])
       results;
     let win_counts =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) wins []

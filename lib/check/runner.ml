@@ -44,7 +44,11 @@ let eval prop v =
   | r -> r
   | exception e -> Fail (Printf.sprintf "uncaught exception: %s" (Printexc.to_string e))
 
-let shrink_to_minimum ?(max_shrink_steps = 500) ?(max_shrink_tries = 10_000) arb prop value =
+(* Bounds on the shrink loop: accepted steps, and candidates tried. *)
+let max_shrink_steps = 500
+let max_shrink_tries = 10_000
+
+let shrink_to_minimum arb prop value =
   let message =
     match eval prop value with
     | Fail msg -> msg
@@ -75,8 +79,7 @@ let shrink_to_minimum ?(max_shrink_steps = 500) ?(max_shrink_tries = 10_000) arb
   let minimized, message, steps = go value message 0 in
   (minimized, message, steps, !tried)
 
-let run_cases ?max_shrink_steps ?max_shrink_tries ?(on_case = fun _ -> ()) ~run_seed ~next_seed
-    ~max_cases ?deadline_ms arb props =
+let run_cases ~run_seed ~next_seed ~max_cases ?deadline_ms arb props =
   let t0 = Clock.now_ms () in
   let counts = Hashtbl.create 16 in
   let bump name = Hashtbl.replace counts name (1 + Option.value ~default:0 (Hashtbl.find_opt counts name)) in
@@ -89,7 +92,6 @@ let run_cases ?max_shrink_steps ?max_shrink_tries ?(on_case = fun _ -> ()) ~run_
   while !cases < max_cases && !active <> [] && not (expired ()) do
     let case_index = !cases in
     let case_seed = next_seed () in
-    on_case case_index;
     let value = arb.generate (Prng.create case_seed) in
     active :=
       List.filter
@@ -106,7 +108,7 @@ let run_cases ?max_shrink_steps ?max_shrink_tries ?(on_case = fun _ -> ()) ~run_
             incr checks;
             bump prop.name;
             let minimized, message, shrink_steps, shrink_tried =
-              shrink_to_minimum ?max_shrink_steps ?max_shrink_tries arb prop value
+              shrink_to_minimum arb prop value
             in
             failures :=
               { property = prop.name; case_seed; case_index; original = value; minimized;
@@ -129,15 +131,15 @@ let run_cases ?max_shrink_steps ?max_shrink_tries ?(on_case = fun _ -> ()) ~run_
     elapsed_ms = Clock.elapsed_ms t0;
   }
 
-let run ?(cases = 100) ?deadline_ms ?max_shrink_steps ?max_shrink_tries ?on_case ~seed arb props =
+let run ?(cases = 100) ?deadline_ms ~seed arb props =
   (* A dedicated stream yields each case's replay seed, so case i's value
      depends only on (seed, i) — never on how earlier cases shrank. *)
   let seed_rng = Prng.create seed in
-  run_cases ?max_shrink_steps ?max_shrink_tries ?on_case ~run_seed:seed
+  run_cases ~run_seed:seed
     ~next_seed:(fun () -> Prng.int seed_rng max_int)
     ~max_cases:cases ?deadline_ms arb props
 
-let replay ?max_shrink_steps ?max_shrink_tries ~case_seed arb props =
-  run_cases ?max_shrink_steps ?max_shrink_tries ~run_seed:case_seed
+let replay ~case_seed arb props =
+  run_cases ~run_seed:case_seed
     ~next_seed:(fun () -> case_seed)
     ~max_cases:1 arb props

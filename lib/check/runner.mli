@@ -60,15 +60,11 @@ type 'a report = {
 
     [cases] (default 100) bounds the number of generated values;
     [deadline_ms] (wall clock, measured on {!Spp_util.Clock}) stops
-    generation early — whichever limit is hit first wins. [max_shrink_steps]
-    (default 500) and [max_shrink_tries] (default 10_000) bound the shrink
-    loop. [on_case] is a progress callback (case index) for CLI spinners. *)
+    generation early — whichever limit is hit first wins. Shrinking
+    takes at most 500 steps and tries at most 10_000 candidates. *)
 val run :
   ?cases:int ->
   ?deadline_ms:float ->
-  ?max_shrink_steps:int ->
-  ?max_shrink_tries:int ->
-  ?on_case:(int -> unit) ->
   seed:int ->
   'a arbitrary ->
   'a property list ->
@@ -78,8 +74,6 @@ val run :
     value generated from [case_seed] — the deterministic replay of one
     reported failure, with the same shrinking on failure. *)
 val replay :
-  ?max_shrink_steps:int ->
-  ?max_shrink_tries:int ->
   case_seed:int ->
   'a arbitrary ->
   'a property list ->
@@ -91,8 +85,6 @@ val replay :
     [(minimized, message, steps, tried)].
     @raise Invalid_argument if [prop.check value] does not return [Fail]. *)
 val shrink_to_minimum :
-  ?max_shrink_steps:int ->
-  ?max_shrink_tries:int ->
   'a arbitrary ->
   'a property ->
   'a ->

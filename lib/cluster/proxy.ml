@@ -1,6 +1,7 @@
 module Client = Spp_server.Client
 module Framing = Spp_server.Framing
 module Listener = Spp_server.Listener
+module Front = Spp_server.Front
 module Bqueue = Spp_server.Bqueue
 module Deadline = Spp_util.Deadline
 module Protocol = Spp_server.Protocol
@@ -63,11 +64,9 @@ type backend = {
 
 type instruments = {
   reg : Metrics.t;
-  m_connections : Metrics.counter;
   m_coalesced : Metrics.counter;
   m_cache_hits : Metrics.counter;
   m_cache_misses : Metrics.counter;
-  m_request_ms : Metrics.histogram;
   m_upstream_ms : Metrics.histogram;
   m_hedges : Metrics.counter;
   m_hedge_wins : Metrics.counter;
@@ -86,7 +85,7 @@ type t = {
          front of [cache] and sized like it *)
   coalesce : Protocol.response Coalesce.t;
   listener : Listener.t;
-  started_ms : float;
+  front : Front.t;
   mx : instruments;
 }
 
@@ -431,11 +430,6 @@ let upstream_solve t ~fp ~instance ~budget_ms ~deadline ~algos ~trace =
 (* ------------------------------------------------------------------ *)
 (* Request handling *)
 
-let count_op t op =
-  Metrics.incr
-    (Metrics.counter t.mx.reg ~help:"Requests received by op" ~labels:[ ("op", op) ]
-       "spp_proxy_ops_total")
-
 let snoop t fp = function
   | Protocol.Solve_ok r when not r.Protocol.degraded ->
     (* A replayed trace would be a lie — cache the reply without it.
@@ -559,95 +553,24 @@ let metrics t =
     | None -> { Protocol.size = 0; capacity = 0; hits = 0; misses = 0; evictions = 0 }
   in
   Protocol.Metrics_ok
-    { uptime_ms = Clock.elapsed_ms t.started_ms; counters = Metrics.counters t.mx.reg;
+    { uptime_ms = Front.uptime_ms t.front; counters = Metrics.counters t.mx.reg;
       cache; store_dir = None; workers = List.length (live_backends t);
       queue_length = Coalesce.in_flight t.coalesce; queue_capacity = 0;
       histograms = Protocol.histograms_of t.mx.reg; algos = [] }
 
 let health t =
   Protocol.Health_ok
-    { uptime_s = Clock.elapsed_ms t.started_ms /. 1000.0;
+    { uptime_s = Front.uptime_ms t.front /. 1000.0;
       cache_capacity = (match t.cache with Some lru -> Lru.capacity lru | None -> 0) }
 
 let stop t = Listener.stop t.listener
 let wait t = Listener.wait t.listener
-
-let respond t line =
-  match Protocol.decode_request line with
-  | Error msg ->
-    count_op t "invalid";
-    (Protocol.Error { code = Protocol.Parse; message = msg; retry_after_ms = None }, None)
-  | Ok Protocol.Health ->
-    count_op t "health";
-    (health t, None)
-  | Ok Protocol.Metrics ->
-    count_op t "metrics";
-    (metrics t, None)
-  | Ok Protocol.Shutdown ->
-    (* Drains the proxy only — backends belong to whoever started them. *)
-    count_op t "shutdown";
-    Log.info "shutdown requested" [];
-    stop t;
-    (Protocol.Shutdown_ok, None)
-  | Ok (Protocol.Solve { instance; budget_ms; deadline_ms; algos; trace_id }) ->
-    count_op t "solve";
-    handle_solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id
-
-(* ------------------------------------------------------------------ *)
-(* Connections *)
-
-let finish_trace trace =
-  Option.iter
-    (fun tr ->
-      Trace.close tr;
-      if Log.enabled Log.Debug then
-        Log.debug "proxy request"
-          [ ("trace_id", Field.String (Trace.id tr));
-            ("ms", Field.Float (Trace.total_ms tr));
-            ("trace", Field.String (Trace.to_json tr)) ])
-    trace
-
-(* Run by the listener on the connection's own thread; the listener
-   closes [fd] when it returns. *)
-let serve_conn t fd =
-  Metrics.incr t.mx.m_connections;
-  let reader = Framing.reader fd in
-  let send resp =
-    try
-      Framing.write_line fd (Protocol.encode_response resp);
-      true
-    with Unix.Unix_error _ | Sys_error _ -> false
-  in
-  let rec loop () =
-    match Framing.read_line reader with
-    | None -> ()
-    | exception Framing.Line_too_long ->
-      ignore
-        (send
-           (Protocol.Error
-              { code = Protocol.Parse;
-                message =
-                  Printf.sprintf "request exceeds %d bytes" Framing.default_max_line;
-                retry_after_ms = None }))
-    | exception (Unix.Unix_error _ | Sys_error _) -> ()
-    | Some line when String.trim line = "" -> if not (stopping t) then loop ()
-    | Some line ->
-      let t0 = Clock.now_ms () in
-      let resp, trace = respond t line in
-      let written = send resp in
-      finish_trace trace;
-      Metrics.observe t.mx.m_request_ms (Clock.elapsed_ms t0);
-      if written && not (stopping t) then loop ()
-  in
-  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
 let instruments reg =
   { reg;
-    m_connections =
-      Metrics.counter reg ~help:"Client connections accepted" "spp_proxy_connections_total";
     m_coalesced =
       Metrics.counter reg
         ~help:"Solve requests served by joining another request's in-flight upstream call"
@@ -658,9 +581,6 @@ let instruments reg =
     m_cache_misses =
       Metrics.counter reg ~help:"Solve requests that missed the proxy warm cache"
         "spp_proxy_cache_misses_total";
-    m_request_ms =
-      Metrics.histogram reg ~help:"Wall-clock per proxied request, receipt to reply (ms)"
-        "spp_proxy_request_ms";
     m_upstream_ms =
       Metrics.histogram reg ~help:"Upstream solve latency over all backends (ms)"
         "spp_proxy_upstream_ms";
@@ -706,6 +626,13 @@ let start (cfg : config) =
   if Hashtbl.length by_name <> Array.length backends then
     invalid_arg "Proxy.start: duplicate backend address";
   let listener = Listener.bind cfg.address in
+  (* The proxy keeps the framing layer's line cap and sets no deadline. *)
+  let front =
+    Front.create cfg.registry ~daemon:"proxy" ~prefix:"spp_proxy_" ~ops:"spp_proxy_ops_total"
+      { Front.max_line_bytes = Framing.default_max_line; idle_timeout_ms = None;
+        read_timeout_ms = None; slow_ms = None }
+      listener
+  in
   let bounded () =
     if cfg.cache_capacity = 0 then None else Some (Lru.create ~capacity:cfg.cache_capacity)
   in
@@ -715,8 +642,7 @@ let start (cfg : config) =
         Ring.create ~replicas:cfg.replicas
           (Array.to_list backends |> List.map (fun b -> Upstream.name b.up));
       cache = bounded (); texts = bounded ();
-      coalesce = Coalesce.create (); listener; started_ms = Clock.now_ms ();
-      mx = instruments cfg.registry }
+      coalesce = Coalesce.create (); listener; front; mx = instruments cfg.registry }
   in
   Metrics.gauge_fn cfg.registry ~help:"Backends currently in the routing ring"
     "spp_proxy_ring_size" (fun () -> float_of_int (Ring.size (current_ring t)));
@@ -724,10 +650,6 @@ let start (cfg : config) =
     "spp_proxy_backends" (fun () -> float_of_int (Array.length t.backends));
   Metrics.gauge_fn cfg.registry ~help:"Coalesced upstream flights currently open"
     "spp_proxy_inflight_flights" (fun () -> float_of_int (Coalesce.in_flight t.coalesce));
-  Metrics.gauge_fn cfg.registry ~help:"Seconds since the proxy started"
-    "spp_proxy_uptime_seconds" (fun () -> Clock.elapsed_ms t.started_ms /. 1000.0);
-  Metrics.gauge_fn cfg.registry ~help:"Client connections currently open"
-    "spp_proxy_connections_open" (fun () -> float_of_int (Listener.connections listener));
   let length = function Some lru -> float_of_int (Lru.length lru) | None -> 0.0 in
   Metrics.gauge_fn cfg.registry ~help:"Replies in the proxy warm cache"
     "spp_proxy_cache_entries" (fun () -> length t.cache);
@@ -745,7 +667,10 @@ let start (cfg : config) =
         (fun () -> float_of_int (Upstream.idle b.up)))
     backends;
   let prober = Thread.create (fun () -> prober_loop t) () in
-  Listener.start listener (serve_conn t) ~drained:(fun () ->
+  (* A [shutdown] drains the proxy only — backends belong to whoever
+     started them. *)
+  let serve = Front.serve front ~health:(fun () -> health t) ~metrics:(fun () -> metrics t) in
+  Listener.start listener (serve ~solve:(handle_solve t)) ~drained:(fun () ->
       Thread.join prober;
       Array.iter (fun b -> Upstream.close b.up) t.backends;
       Log.info "proxy drained" []);

@@ -68,8 +68,12 @@
       though a warm-cache hit is always served. Degraded replies pass
       through to the caller but are never snooped into the warm cache.
 
+    Each connection runs {!Spp_server.Front}'s request loop, with the
+    framing layer's 8 MiB line cap, no idle or read deadline, the
+    [spp_proxy_] metric prefix and [spp_proxy_ops_total]{[op]}.
     [metrics] and [health] ops are answered locally from the proxy's own
-    registry; [shutdown] drains the proxy and never propagates upstream.
+    registry; [shutdown] drains the proxy and never propagates
+    upstream.
 
     Fault points: [proxy.upstream] (in {!Upstream.call}), [proxy.health]
     (fails individual probes) and [proxy.hedge] (suppresses a hedged

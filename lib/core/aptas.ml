@@ -103,7 +103,7 @@ let round_to_integral ~cancel (reduced : Release.t) (sol : Config_lp.solved) =
   in
   (Placement.of_items items, fallback_rects)
 
-let solve ?(cancel = Spp_util.Cancel.never) ?max_configs ?(solver = `Enumerate) ?warm ~epsilon
+let solve ?(cancel = Spp_util.Cancel.never) ?(solver = `Enumerate) ~epsilon
     (inst : Release.t) =
   if Q.sign epsilon <= 0 then invalid_arg "Aptas.solve: epsilon must be positive";
   let eps' = Q.div epsilon (Q.of_int 3) in
@@ -119,8 +119,8 @@ let solve ?(cancel = Spp_util.Cancel.never) ?max_configs ?(solver = `Enumerate) 
   (* Line 7: exact configuration LP (enumerated or column-generated). *)
   let sol =
     match solver with
-    | `Enumerate -> Config_lp.solve ?max_configs p_rw
-    | `Column_generation -> Config_colgen.solve ~cancel ?warm p_rw
+    | `Enumerate -> Config_lp.solve p_rw
+    | `Column_generation -> Config_colgen.solve ~cancel p_rw
   in
   Spp_util.Cancel.check cancel;
   (* Line 8: fractional -> integral (positions computed on the reduced
@@ -159,6 +159,6 @@ let solve ?(cancel = Spp_util.Cancel.never) ?max_configs ?(solver = `Enumerate) 
     fallback_rects;
   }
 
-let strip ?max_configs ?solver ~epsilon ~k rects =
+let strip ~epsilon ~k rects =
   let tasks = List.map (fun rect -> { Release.rect; release = Q.zero }) rects in
-  solve ?max_configs ?solver ~epsilon (Release.make ~k tasks)
+  solve ~epsilon (Release.make ~k tasks)

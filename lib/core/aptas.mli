@@ -40,19 +40,14 @@ type result = {
     (default [Spp_util.Cancel.never]) is polled between pipeline stages
     (after release rounding, after width grouping, after the LP), inside
     column generation, and per occurrence during the integral rounding; a
-    tripped token aborts with [Spp_util.Cancel.Cancelled]. [warm] (used
-    only by [`Column_generation]) carries a {!Config_colgen.warm} pool
-    across calls, warm-starting the restricted LP with previously priced
-    configurations.
+    tripped token aborts with [Spp_util.Cancel.Cancelled].
     @raise Invalid_argument if [epsilon <= 0].
-    @raise Failure if the configuration count exceeds [max_configs]
-    (default 200_000) under [`Enumerate] — choose a larger ε, a smaller K,
-    or [`Column_generation]. *)
+    @raise Failure if the configuration count exceeds 200_000 under
+    [`Enumerate] — choose a larger ε, a smaller K, or
+    [`Column_generation]. *)
 val solve :
   ?cancel:Spp_util.Cancel.t ->
-  ?max_configs:int ->
   ?solver:[ `Enumerate | `Column_generation ] ->
-  ?warm:Config_colgen.warm ->
   epsilon:Spp_num.Rat.t ->
   Instance.Release.t ->
   result
@@ -61,11 +56,10 @@ val solve :
     Kenyon–Rémila-style APTAS for {e plain} strip packing (the ancestor
     result the paper's Section 3 generalises; all releases 0 makes
     Lemma 3.1 a no-op and collapses the LP to one phase). Same width
-    assumption ([w ∈ [1/k, 1]]) and height cap ([h <= 1]) as [solve].
+    assumption ([w ∈ [1/k, 1]]) and height cap ([h <= 1]) as [solve],
+    whose default configuration LP it runs.
     @raise Invalid_argument on violated assumptions or [epsilon <= 0]. *)
 val strip :
-  ?max_configs:int ->
-  ?solver:[ `Enumerate | `Column_generation ] ->
   epsilon:Spp_num.Rat.t ->
   k:int ->
   Spp_geom.Rect.t list ->

@@ -19,8 +19,12 @@ let warm_start () = { pools = Hashtbl.create 4 }
 let widths_key widths =
   String.concat "," (Array.to_list (Array.map Q.to_string widths))
 
-let solve ?(cancel = Spp_util.Cancel.never) ?(max_rounds = 200) ?(max_denominator = 100_000)
-    ?warm (inst : Release.t) =
+(* Pricing rounds before giving up, and the largest common width
+   denominator the knapsack scales to. *)
+let max_rounds = 200
+let max_denominator = 100_000
+
+let solve ?(cancel = Spp_util.Cancel.never) ?warm (inst : Release.t) =
   let widths = Array.of_list (Grouping.distinct_widths inst) in
   let releases = Grouping.distinct_releases inst in
   let boundaries =

@@ -13,7 +13,7 @@
     always the exact optimum of the {e restricted} LP (a true upper bound on
     nothing / lower bound on the integral optimum, like the full LP).
 
-    Widths must share a common denominator [<= max_denominator] (they do by
+    Widths must share a common denominator [<= 100_000] (they do by
     construction for column-quantised instances, where it is K).
 
     The restricted LP is {e warm-started} at two levels. Within a solve,
@@ -35,19 +35,16 @@ type warm
 (** A fresh, empty warm-start pool. *)
 val warm_start : unit -> warm
 
-(** [solve ?max_rounds ?max_denominator ?warm inst] returns the same record
+(** [solve ?warm inst] returns the same record
     as {!Config_lp.solve}, with [num_configs] the size of the generated
     pool. [cancel] (default [Spp_util.Cancel.never]) is polled before every
     pricing round; a tripped token aborts with [Spp_util.Cancel.Cancelled].
     [warm] seeds the configuration pool from previous solves and stores the
     converged pool back (see {!warm}).
-    @raise Failure when widths have no common denominator below
-    [max_denominator] (default 100_000) or [max_rounds] (default 200) is
-    exhausted before convergence. *)
+    @raise Failure when widths have no common denominator up to 100_000
+    or 200 pricing rounds pass without convergence. *)
 val solve :
   ?cancel:Spp_util.Cancel.t ->
-  ?max_rounds:int ->
-  ?max_denominator:int ->
   ?warm:warm ->
   Instance.Release.t ->
   Config_lp.solved

@@ -49,7 +49,7 @@ let enumerate_configs ?(max_configs = 200_000) widths =
   go 0 Q.one false;
   List.rev !found
 
-let solve ?max_configs (inst : Release.t) =
+let solve (inst : Release.t) =
   let widths = Array.of_list (Grouping.distinct_widths inst) in
   let releases = Grouping.distinct_releases inst in
   let boundaries =
@@ -59,7 +59,7 @@ let solve ?max_configs (inst : Release.t) =
   in
   let np = Array.length boundaries in (* phases 0 .. np-1; last is unbounded *)
   let nw = Array.length widths in
-  let configs = enumerate_configs ?max_configs widths in
+  let configs = enumerate_configs widths in
   let configs_arr = Array.of_list configs in
   let nq = Array.length configs_arr in
   let width_index w =

@@ -39,8 +39,9 @@ type solved = {
     the documented guard against exponential blow-up in 1/K. *)
 val enumerate_configs : ?max_configs:int -> Spp_num.Rat.t array -> int array list
 
-(** [solve ?max_configs inst] builds and exactly solves the LP for the
-    instance's {e actual} distinct widths and release times. The instance is
-    expected to already be reduced (few distinct widths/releases); the
-    function itself poses no such requirement beyond [max_configs]. *)
-val solve : ?max_configs:int -> Instance.Release.t -> solved
+(** [solve inst] builds and exactly solves the LP for the instance's
+    {e actual} distinct widths and release times. The instance is expected
+    to already be reduced (few distinct widths/releases); the function
+    itself poses no such requirement beyond {!enumerate_configs}' default
+    cap. *)
+val solve : Instance.Release.t -> solved

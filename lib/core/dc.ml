@@ -248,7 +248,7 @@ module Reference = struct
     (placement, { levels = !max_level; mid_calls = !mid_calls })
 end
 
-let height ?subroutine inst = Spp_geom.Placement.height (fst (pack ?subroutine inst))
+let height inst = Spp_geom.Placement.height (fst (pack inst))
 
 let theorem_2_3_bound inst =
   let n = float_of_int (Instance.Prec.size inst) in

@@ -76,11 +76,8 @@ module Reference : sig
     Spp_geom.Placement.t * stats
 end
 
-(** [height ?subroutine inst] is the height of [pack inst]. *)
-val height :
-  ?subroutine:(Spp_geom.Rect.t list -> Spp_geom.Placement.t) ->
-  Instance.Prec.t ->
-  Spp_num.Rat.t
+(** [height inst] is the height of [pack inst]. *)
+val height : Instance.Prec.t -> Spp_num.Rat.t
 
 (** [theorem_2_3_bound inst] is the proved bound
     [log2(n+1)·F(S) + 2·AREA(S)] that [pack]'s height never exceeds

@@ -23,6 +23,11 @@ type outcome = {
 
 type source = Computed | Memory_cache | Disk_cache
 
+let source_to_string = function
+  | Computed -> "computed"
+  | Memory_cache -> "cache.memory"
+  | Disk_cache -> "cache.disk"
+
 type result = {
   placement : Placement.t;
   height : Q.t;
@@ -278,12 +283,7 @@ let finish_result t fp (r : result) =
     ([ ("fingerprint", Telemetry.String fp);
       ("winner", Telemetry.String r.winner);
       ("height", Telemetry.String (Q.to_string r.height));
-      ("source",
-       Telemetry.String
-         (match r.source with
-          | Computed -> "computed"
-          | Memory_cache -> "cache.memory"
-          | Disk_cache -> "cache.disk"));
+      ("source", Telemetry.String (source_to_string r.source));
       ("ms", Telemetry.Float r.time_ms) ]
      @ (if r.degraded then [ ("degraded", Telemetry.String "true") ] else []));
   r

@@ -73,6 +73,10 @@ type outcome = {
 
 type source = Computed | Memory_cache | Disk_cache
 
+(** The wire name of a source: ["computed"], ["cache.memory"] or
+    ["cache.disk"]. *)
+val source_to_string : source -> string
+
 type result = {
   placement : Spp_geom.Placement.t;
   height : Spp_num.Rat.t;

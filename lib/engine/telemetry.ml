@@ -8,6 +8,7 @@ type field = Field.t =
   | Int of int
   | Float of float
   | Bool of bool
+  | Json of Json.t
 
 type event = {
   name : string;
@@ -24,9 +25,9 @@ type t = {
   lock : Mutex.t;
 }
 
-let create ?metrics ?(events = true) () =
+let create ?(events = true) () =
   { epoch_ms = Clock.now_ms ();
-    metrics = (match metrics with Some m -> m | None -> Metrics.create ());
+    metrics = Metrics.create ();
     handles = Hashtbl.create 16;
     keep_events = events;
     events = [];

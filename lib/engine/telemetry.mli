@@ -23,6 +23,7 @@ type field = Spp_obs.Field.t =
   | Int of int
   | Float of float
   | Bool of bool
+  | Json of Spp_util.Json.t
 
 type event = {
   name : string;
@@ -32,13 +33,13 @@ type event = {
 
 type t
 
-(** [create ()] starts a log backed by a fresh registry; [metrics] backs
-    it by a shared one instead (what [spp serve] does, so solver counters
-    land on the scrape endpoint). With [~events:false] (default [true])
-    {!record} and {!time} keep nothing, so {!events} stays empty and
-    {!to_json_lines} prints only the counters; counters count as
-    before. *)
-val create : ?metrics:Spp_obs.Metrics.t -> ?events:bool -> unit -> t
+(** [create ()] starts a log backed by a fresh registry, which
+    [spp serve] then shares: the server registers its own instruments on
+    {!metrics}, so solver counters and request series land on one scrape
+    endpoint. With [~events:false] (default [true]) {!record} and
+    {!time} keep nothing, so {!events} stays empty and {!to_json_lines}
+    prints only the counters; counters count as before. *)
+val create : ?events:bool -> unit -> t
 
 (** The backing registry — register richer instruments (histograms,
     gauges) next to the counters. *)

@@ -46,6 +46,6 @@ val waiting_times : release:(int -> Spp_num.Rat.t) -> Schedule.t -> (int * Spp_n
     (0 for the empty schedule). *)
 val mean_wait : release:(int -> Spp_num.Rat.t) -> Schedule.t -> float
 
-(** [gantt ?time_rows sched] renders a text Gantt chart: one line per
+(** [gantt ?time_cols sched] renders a text Gantt chart: one line per
     column, time flowing right, each task shown as its id glyph. *)
 val gantt : ?time_cols:int -> Schedule.t -> string

@@ -47,7 +47,7 @@ let render ?(width_px = 480) ?(label = true) placement =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let save ?width_px ?label path placement =
+let save path placement =
   let oc = open_out path in
-  output_string oc (render ?width_px ?label placement);
+  output_string oc (render placement);
   close_out oc

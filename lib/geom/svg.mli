@@ -12,5 +12,5 @@
     The empty placement yields a valid empty-canvas document. *)
 val render : ?width_px:int -> ?label:bool -> Placement.t -> string
 
-(** [save ?width_px ?label path placement] writes the document to [path]. *)
-val save : ?width_px:int -> ?label:bool -> string -> Placement.t -> unit
+(** [save path placement] writes [render placement] to [path]. *)
+val save : string -> Placement.t -> unit

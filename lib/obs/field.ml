@@ -5,6 +5,7 @@ type t =
   | Int of int
   | Float of float
   | Bool of bool
+  | Json of Json.t
 
 (* Integral floats stay exact; the rest keep six significant digits, so
    a span offset or a timing costs no more bytes than "%.6g" gives. *)
@@ -15,3 +16,4 @@ let to_json = function
     Json.Float f
   | Float f -> Json.Float (float_of_string (Printf.sprintf "%.6g" f))
   | Bool b -> Json.Bool b
+  | Json j -> j

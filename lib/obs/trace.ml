@@ -175,7 +175,8 @@ let render t =
        | Field.String s -> s
        | Field.Int i -> string_of_int i
        | Field.Float f -> Printf.sprintf "%.6g" f
-       | Field.Bool b -> string_of_bool b)
+       | Field.Bool b -> string_of_bool b
+       | Field.Json j -> Json.to_string j)
   in
   let rec emit prefix is_last s =
     let dur =

@@ -18,7 +18,7 @@ let sockaddr_of = function
   | Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
   | Tcp (host, port) -> (Unix.PF_INET, Unix.ADDR_INET (inet_addr_of host, port))
 
-let listen ?(backlog = 64) addr =
+let listen addr =
   let domain, sockaddr = sockaddr_of addr in
   (match addr with
    | Unix_sock path when Sys.file_exists path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
@@ -27,7 +27,7 @@ let listen ?(backlog = 64) addr =
   (try
      if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
      Unix.bind fd sockaddr;
-     Unix.listen fd backlog
+     Unix.listen fd 64
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);

@@ -22,10 +22,11 @@ type address =
 
 val address_to_string : address -> string
 
-(** [listen addr] binds and listens. For [Unix_sock] a pre-existing socket
-    file at the path is unlinked first; for [Tcp] the socket is bound with
-    [SO_REUSEADDR]. @raise Unix.Unix_error on failure. *)
-val listen : ?backlog:int -> address -> Unix.file_descr
+(** [listen addr] binds and listens, with a backlog of 64. For
+    [Unix_sock] a pre-existing socket file at the path is unlinked first;
+    for [Tcp] the socket is bound with [SO_REUSEADDR].
+    @raise Unix.Unix_error on failure. *)
+val listen : address -> Unix.file_descr
 
 (** Raised when a deadline passes: by {!connect} with [timeout_ms], and by
     {!read_line} with [idle_timeout_ms] / [read_timeout_ms]. *)

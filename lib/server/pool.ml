@@ -1,98 +1,75 @@
 module Log = Spp_obs.Log
+module Field = Spp_obs.Field
 
 type t = {
-  supervisors : Thread.t list;
+  domains : unit Domain.t list;
   deaths : int Atomic.t;
   restarts : int Atomic.t;
-  live : int Atomic.t;  (* worker slots with a running (or restartable) domain *)
 }
 
 exception Pool_dead
 
 let default_max_restarts = 16
 
-let start ?(max_restarts = default_max_restarts) ?on_crash ~workers f q =
+let start ?(max_restarts = default_max_restarts) ~on_crash ~workers f q =
   let workers = max 1 workers in
   let deaths = Atomic.make 0 in
   let restarts = Atomic.make 0 in
-  let live = Atomic.make workers in
-  let crash job exn =
-    match on_crash with
-    | None -> ()
-    | Some g -> ( try g job exn with _ -> ())
-  in
-  (* Worker domain body: pop until the queue drains. A job that raises
-     (or a pool.job fault) first fails its own job via [crash], then lets
-     the exception escape the domain so the supervisor sees the death. *)
-  let worker () =
-    let rec loop () =
-      match Bqueue.pop q with
-      | None -> ()
-      | Some job ->
-        (match
-           Spp_util.Fault.hit "pool.job";
-           f job
-         with
-         | () -> ()
-         | exception exn ->
-           crash job exn;
-           raise exn);
-        loop ()
-    in
-    loop ()
-  in
+  let live = Atomic.make workers in  (* slots not yet out of budget *)
+  let crash job exn = try on_crash job exn with _ -> () in
   (* If every slot has exhausted its restart budget, nobody will ever pop
      again: close the queue (new pushes shed at admission) and fail any
      queued jobs so their clients get an answer instead of a hang. *)
-  let drain_dead () =
-    Bqueue.close q;
-    let rec drain () =
-      match Bqueue.pop q with
-      | None -> ()
-      | Some job ->
-        crash job Pool_dead;
-        drain ()
-    in
-    drain ()
-  in
   let slot_down () =
     if Atomic.fetch_and_add live (-1) = 1 && not (Bqueue.is_closed q) then begin
       Log.error "worker pool dead: all restart budgets exhausted"
-        [ ("workers", Spp_obs.Field.Int workers) ];
-      drain_dead ()
+        [ ("workers", Field.Int workers) ];
+      Bqueue.close q;
+      let rec drain () =
+        match Bqueue.pop q with
+        | None -> ()
+        | Some job ->
+          crash job Pool_dead;
+          drain ()
+      in
+      drain ()
     end
   in
-  (* One supervisor thread per slot: spawn the domain, join it, and on an
-     escaped exception restart within the slot's budget. A clean join
-     (queue closed and drained) ends the slot. *)
-  let supervise slot =
-    let rec run spent =
-      match Domain.join (Domain.spawn worker) with
-      | () -> Atomic.decr live
-      | exception exn ->
-        Atomic.incr deaths;
-        if Bqueue.is_closed q && Bqueue.length q = 0 then Atomic.decr live
-        else if spent < max_restarts then begin
-          Atomic.incr restarts;
-          Log.warn "worker domain died; restarting"
-            [ ("slot", Spp_obs.Field.Int slot);
-              ("error", Spp_obs.Field.String (Printexc.to_string exn));
-              ("restarts_left", Spp_obs.Field.Int (max_restarts - spent - 1)) ];
-          run (spent + 1)
-        end
-        else begin
-          Log.error "worker slot out of restart budget"
-            [ ("slot", Spp_obs.Field.Int slot);
-              ("error", Spp_obs.Field.String (Printexc.to_string exn)) ];
-          slot_down ()
-        end
+  (* One domain per slot pops until the queue drains. A job that raises
+     (or a pool.job fault) fails its own job via [crash]; the slot then
+     goes on in place within its budget — nothing in the domain needs a
+     fresh one — or, out of budget, retires. *)
+  let slot i () =
+    let rec loop spent =
+      match Bqueue.pop q with
+      | None -> ()
+      | Some job -> (
+        match
+          Spp_util.Fault.hit "pool.job";
+          f job
+        with
+        | () -> loop spent
+        | exception exn ->
+          crash job exn;
+          Atomic.incr deaths;
+          if Bqueue.is_closed q && Bqueue.length q = 0 then ()
+          else if spent < max_restarts then begin
+            Atomic.incr restarts;
+            Log.warn "worker crashed; slot restarted"
+              [ ("slot", Field.Int i); ("error", Field.String (Printexc.to_string exn));
+                ("restarts_left", Field.Int (max_restarts - spent - 1)) ];
+            loop (spent + 1)
+          end
+          else begin
+            Log.error "worker slot out of restart budget"
+              [ ("slot", Field.Int i); ("error", Field.String (Printexc.to_string exn)) ];
+            slot_down ()
+          end)
     in
-    run 0
+    loop 0
   in
-  { supervisors = List.init workers (fun slot -> Thread.create supervise slot);
-    deaths; restarts; live }
+  { domains = List.init workers (fun i -> Domain.spawn (slot i)); deaths; restarts }
 
-let size t = List.length t.supervisors
 let deaths t = Atomic.get t.deaths
 let restarts t = Atomic.get t.restarts
-let join t = List.iter Thread.join t.supervisors
+let join t = List.iter Domain.join t.domains

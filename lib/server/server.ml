@@ -50,14 +50,7 @@ type instruments = {
   reg : Metrics.t;
   m_shed : Metrics.counter;
   m_inflight : Metrics.gauge;
-  m_connections : Metrics.counter;
-  m_bytes_in : Metrics.counter;
-  m_bytes_out : Metrics.counter;
-  m_request_ms : Metrics.histogram;
   m_queue_wait_ms : Metrics.histogram;
-  m_request_bytes : Metrics.histogram;
-  m_response_bytes : Metrics.histogram;
-  m_reaped : Metrics.counter;
   m_degraded : Metrics.counter;
   m_deadline_admission : Metrics.counter;
   m_deadline_dispatch : Metrics.counter;
@@ -68,17 +61,12 @@ type t = {
   listener : Listener.t;
   queue : job Bqueue.t;
   pool : Pool.t;
-  started_ms : float;
+  front : Front.t;
   mx : instruments;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Request handling *)
-
-let source_to_string = function
-  | Engine.Computed -> "computed"
-  | Engine.Memory_cache -> "cache.memory"
-  | Engine.Disk_cache -> "cache.disk"
 
 (* The reply to a solve. A client-requested tree is taken here, after
    the engine spans closed but before reply.write and the root close —
@@ -88,7 +76,7 @@ let source_to_string = function
 let solve_ok ~wants_trace trace (r : Engine.result) placement =
   let tree = if wants_trace then Option.map Trace.tree trace else None in
   Protocol.Solve_ok
-    { winner = r.Engine.winner; source = source_to_string r.Engine.source;
+    { winner = r.Engine.winner; source = Engine.source_to_string r.Engine.source;
       height = Q.to_string r.Engine.height; time_ms = r.Engine.time_ms; placement;
       degraded = r.Engine.degraded;
       lower_bound = Some (Q.to_string r.Engine.lower_bound);
@@ -98,11 +86,6 @@ let solve_ok ~wants_trace trace (r : Engine.result) placement =
 let fault_reply point =
   Protocol.Error
     { code = Protocol.Internal; message = "fault injected: " ^ point; retry_after_ms = None }
-
-let count_request mx op =
-  Metrics.incr
-    (Metrics.counter mx.reg ~help:"Requests received by op" ~labels:[ ("op", op) ]
-       "spp_requests_total")
 
 (* Runs on a worker domain; must never raise (the reply mailbox is the
    only failure channel the connection thread watches). *)
@@ -181,7 +164,7 @@ let algos_of reg =
 let metrics t =
   let s = Engine.cache_stats t.cfg.engine in
   Protocol.Metrics_ok
-    { uptime_ms = Clock.elapsed_ms t.started_ms;
+    { uptime_ms = Front.uptime_ms t.front;
       counters = Telemetry.counters (Engine.telemetry t.cfg.engine);
       cache =
         { size = s.Lru.size; capacity = Engine.cache_capacity t.cfg.engine; hits = s.Lru.hits;
@@ -192,7 +175,7 @@ let metrics t =
 
 let health t =
   Protocol.Health_ok
-    { uptime_s = Clock.elapsed_ms t.started_ms /. 1000.0;
+    { uptime_s = Front.uptime_ms t.front /. 1000.0;
       cache_capacity = Engine.cache_capacity t.cfg.engine }
 
 (* A solve the byte path could not answer: parse it and hand it to a
@@ -243,158 +226,59 @@ let parse_and_queue t ~instance ~budget_ms ~deadline ~algos ~trace ~wants_trace 
     Metrics.gauge_add t.mx.m_inflight (-1.0);
     resp
 
-(* [respond] returns the request's trace alongside the response so the
-   connection thread can span the reply write and run the slow-log check
-   after the bytes are actually on the wire. *)
-let respond t line =
-  match Protocol.decode_request line with
-  | Error msg ->
-    count_request t.mx "invalid";
-    (Protocol.Error { code = Protocol.Parse; message = msg; retry_after_ms = None }, None)
-  | Ok Protocol.Health ->
-    count_request t.mx "health";
-    (health t, None)
-  | Ok Protocol.Metrics ->
-    count_request t.mx "metrics";
-    (metrics t, None)
-  | Ok Protocol.Shutdown ->
-    count_request t.mx "shutdown";
-    Log.info "shutdown requested" [];
-    stop t;
-    (Protocol.Shutdown_ok, None)
-  | Ok (Protocol.Solve { instance; budget_ms; deadline_ms; algos; trace_id }) ->
-    count_request t.mx "solve";
-    (* Pin the propagated deadline to this host's clock at receipt:
-       everything from here on — parse, queue wait, dispatch — is this
-       hop's elapsed time and counts against it. *)
-    let deadline = Spp_util.Deadline.of_request deadline_ms in
-    let trace =
-      if trace_id <> None || t.cfg.slow_ms <> None || Log.enabled Log.Debug then
-        Some (Trace.create ?id:trace_id ~name:"request" ())
-      else None
-    in
-    let wants_trace = trace_id <> None in
-    if Listener.stopping t.listener then
-      ( Protocol.Error
-          { code = Protocol.Shutting_down; message = "server is draining";
-            retry_after_ms = None },
-        trace )
-    else if
-      match deadline with
-      | Some d -> Spp_util.Deadline.expired ~floor_ms:t.cfg.deadline_floor_ms d
-      | None -> false
-    then begin
-      (* Fast-fail at admission: below the floor the answer cannot
-         arrive in time, so shedding now is strictly better than
-         queueing — the caller learns immediately and capacity stays
-         with requests that can still make it. *)
-      Metrics.incr t.mx.m_deadline_admission;
-      ( Protocol.Error
-          { code = Protocol.Wont_make_it;
-            message =
-              Printf.sprintf "remaining deadline below floor (%.0f ms)"
-                t.cfg.deadline_floor_ms;
-            retry_after_ms = Some t.cfg.retry_after_ms },
-        trace )
-    end
-    else
-      (* A memory hit for these exact bytes is answered here, on the
-         connection thread: no parse, no queue, no worker handoff — so a
-         hit never waits behind cold solves, even when the queue is
-         full. *)
-      match Engine.find_text ?trace t.cfg.engine instance with
-      | Some (r, placement) -> (solve_ok ~wants_trace trace r placement, trace)
-      | exception Spp_util.Fault.Injected point -> (fault_reply point, trace)
-      | None ->
-        (parse_and_queue t ~instance ~budget_ms ~deadline ~algos ~trace ~wants_trace, trace)
-
-(* ------------------------------------------------------------------ *)
-(* Connections *)
-
-let finish_trace t trace =
-  Option.iter
-    (fun tr ->
-      Trace.close tr;
-      let total = Trace.total_ms tr in
-      match t.cfg.slow_ms with
-      | Some thr when total >= thr ->
-        Log.warn "slow request"
-          [ ("trace_id", Field.String (Trace.id tr)); ("ms", Field.Float total);
-            ("trace", Field.String (Trace.to_json tr)) ]
-      | _ ->
-        if Log.enabled Log.Debug then
-          Log.debug "request"
-            [ ("trace_id", Field.String (Trace.id tr)); ("ms", Field.Float total) ])
-    trace
-
-(* The per-connection request loop, run by the listener on the
-   connection's own thread; the listener closes [fd] when it returns. *)
-let serve_conn t fd =
-  Metrics.incr t.mx.m_connections;
-  let reader = Framing.reader ~max_line_bytes:t.cfg.max_request_bytes fd in
-  let send ?trace resp =
-    let line = Protocol.encode_response resp in
-    let span =
-      Option.map
-        (fun tr -> (tr, Trace.span tr ~parent:(Trace.root tr) "reply.write"))
-        trace
-    in
-    let ok =
-      try
-        Framing.write_line fd line;
-        true
-      with Unix.Unix_error _ | Sys_error _ -> false
-    in
-    Option.iter
-      (fun (tr, s) ->
-        Trace.finish ~fields:[ ("bytes", Field.Int (String.length line + 1)) ] tr s)
-      span;
-    Metrics.incr ~by:(String.length line + 1) t.mx.m_bytes_out;
-    Metrics.observe t.mx.m_response_bytes (float_of_int (String.length line + 1));
-    ok
+(* A solve, once {!Front} has counted it: the draining check, the
+   deadline floor, the byte-path hit, then parse-and-queue. The request's
+   trace comes back with the reply, so {!Front} can span the reply write
+   and run the slow-log check after the bytes are on the wire. *)
+let solve t ~instance ~budget_ms ~deadline_ms ~algos ~trace_id =
+  (* Pin the propagated deadline to this host's clock at receipt:
+     everything from here on — parse, queue wait, dispatch — is this
+     hop's elapsed time and counts against it. *)
+  let deadline = Spp_util.Deadline.of_request deadline_ms in
+  let trace =
+    if trace_id <> None || t.cfg.slow_ms <> None || Log.enabled Log.Debug then
+      Some (Trace.create ?id:trace_id ~name:"request" ())
+    else None
   in
-  let rec loop () =
-    match
-      Framing.read_line ?idle_timeout_ms:t.cfg.idle_timeout_ms
-        ?read_timeout_ms:t.cfg.read_timeout_ms reader
-    with
-    | None -> ()
-    | exception Framing.Timeout ->
-      (* Idle too long or trickling a request too slowly: reap. *)
-      Metrics.incr t.mx.m_reaped;
-      Log.info "connection reaped" []
-    | exception Framing.Line_too_long ->
-      ignore
-        (send
-           (Protocol.Error
-              { code = Protocol.Parse;
-                message =
-                  Printf.sprintf "request exceeds %d bytes" t.cfg.max_request_bytes;
-                retry_after_ms = None }))
-    | exception (Unix.Unix_error _ | Sys_error _) -> ()
-    | Some line when String.trim line = "" -> if not (Listener.stopping t.listener) then loop ()
-    | Some line ->
-      Metrics.incr ~by:(String.length line + 1) t.mx.m_bytes_in;
-      Metrics.observe t.mx.m_request_bytes (float_of_int (String.length line + 1));
-      let t0 = Clock.now_ms () in
-      let resp, trace = respond t line in
-      let written = send ?trace resp in
-      finish_trace t trace;
-      Metrics.observe t.mx.m_request_ms (Clock.elapsed_ms t0);
-      (* After a drain began, finish this (in-flight) reply but take no
-         further requests from the connection. *)
-      if written && not (Listener.stopping t.listener) then loop ()
-  in
-  loop ()
+  let wants_trace = trace_id <> None in
+  if Listener.stopping t.listener then
+    ( Protocol.Error
+        { code = Protocol.Shutting_down; message = "server is draining"; retry_after_ms = None },
+      trace )
+  else if
+    match deadline with
+    | Some d -> Spp_util.Deadline.expired ~floor_ms:t.cfg.deadline_floor_ms d
+    | None -> false
+  then begin
+    (* Fast-fail at admission: below the floor the answer cannot
+       arrive in time, so shedding now is strictly better than
+       queueing — the caller learns immediately and capacity stays
+       with requests that can still make it. *)
+    Metrics.incr t.mx.m_deadline_admission;
+    ( Protocol.Error
+        { code = Protocol.Wont_make_it;
+          message =
+            Printf.sprintf "remaining deadline below floor (%.0f ms)" t.cfg.deadline_floor_ms;
+          retry_after_ms = Some t.cfg.retry_after_ms },
+      trace )
+  end
+  else
+    (* A memory hit for these exact bytes is answered here, on the
+       connection thread: no parse, no queue, no worker handoff — so a
+       hit never waits behind cold solves, even when the queue is
+       full. *)
+    match Engine.find_text ?trace t.cfg.engine instance with
+    | Some (r, placement) -> (solve_ok ~wants_trace trace r placement, trace)
+    | exception Spp_util.Fault.Injected point -> (fault_reply point, trace)
+    | None ->
+      (parse_and_queue t ~instance ~budget_ms ~deadline ~algos ~trace ~wants_trace, trace)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-let instruments reg queue listener =
+let instruments reg queue =
   Metrics.gauge_fn reg ~help:"Jobs waiting in the admission queue" "spp_queue_depth"
     (fun () -> float_of_int (Bqueue.length queue));
-  Metrics.gauge_fn reg ~help:"Client connections currently open" "spp_connections_open"
-    (fun () -> float_of_int (Listener.connections listener));
   { reg;
     m_shed =
       Metrics.counter reg ~help:"Solve requests refused because the queue was full"
@@ -402,24 +286,9 @@ let instruments reg queue listener =
     m_inflight =
       Metrics.gauge reg ~help:"Solve requests admitted and not yet answered"
         "spp_inflight_requests";
-    m_connections = Metrics.counter reg ~help:"Client connections accepted" "spp_connections_total";
-    m_bytes_in = Metrics.counter reg ~help:"Request bytes read" "spp_bytes_read_total";
-    m_bytes_out = Metrics.counter reg ~help:"Response bytes written" "spp_bytes_written_total";
-    m_request_ms =
-      Metrics.histogram reg ~help:"Wall-clock per request, receipt to reply (ms)"
-        "spp_request_ms";
     m_queue_wait_ms =
       Metrics.histogram reg ~help:"Time jobs spent in the admission queue (ms)"
         "spp_queue_wait_ms";
-    m_request_bytes =
-      Metrics.histogram reg ~help:"Request line sizes (bytes)"
-        ~buckets:Metrics.default_size_buckets "spp_request_bytes";
-    m_response_bytes =
-      Metrics.histogram reg ~help:"Response line sizes (bytes)"
-        ~buckets:Metrics.default_size_buckets "spp_response_bytes";
-    m_reaped =
-      Metrics.counter reg ~help:"Connections closed for idling or trickling past a deadline"
-        "spp_connections_reaped_total";
     m_degraded =
       Metrics.counter reg ~help:"Solve replies answered with a degraded (anytime) packing"
         "spp_degraded_replies_total";
@@ -434,9 +303,9 @@ let start cfg =
   let listener = Listener.bind cfg.address in
   let queue = Bqueue.create ~capacity:cfg.queue_depth in
   let reg = Telemetry.metrics (Engine.telemetry cfg.engine) in
-  let mx = instruments reg queue listener in
-  (* A worker that dies mid-job must still answer that job's client: the
-     supervisor fails the reply mailbox with a structured internal error. *)
+  let mx = instruments reg queue in
+  (* A job that crashes its worker must still answer its client: the pool
+     fails the reply mailbox with a structured internal error. *)
   let on_crash (job : job) exn =
     let message =
       match exn with
@@ -452,17 +321,22 @@ let start cfg =
     Pool.start ?max_restarts:cfg.max_worker_restarts ~on_crash ~workers:cfg.workers
       (process cfg mx) queue
   in
-  Metrics.counter_fn reg ~help:"Worker domain deaths observed by the supervisor"
+  Metrics.counter_fn reg ~help:"Worker crashes: jobs that raised on a worker slot"
     "spp_worker_deaths_total" (fun () -> Pool.deaths pool);
-  Metrics.counter_fn reg ~help:"Worker domain restarts performed by the supervisor"
+  Metrics.counter_fn reg ~help:"Worker slots restarted in place after a crash"
     "spp_worker_restarts_total" (fun () -> Pool.restarts pool);
-  let t = { cfg; listener; queue; pool; started_ms = Clock.now_ms (); mx } in
-  Metrics.gauge_fn reg ~help:"Seconds since the server started" "spp_uptime_seconds"
-    (fun () -> Clock.elapsed_ms t.started_ms /. 1000.0);
+  let front =
+    Front.create reg ~daemon:"server" ~prefix:"spp_" ~ops:"spp_requests_total"
+      { Front.max_line_bytes = cfg.max_request_bytes; idle_timeout_ms = cfg.idle_timeout_ms;
+        read_timeout_ms = cfg.read_timeout_ms; slow_ms = cfg.slow_ms }
+      listener
+  in
+  let t = { cfg; listener; queue; pool; front; mx } in
   (* In-flight requests finish on the still-running pool while the
      listener drains their connections. After that nothing can enqueue,
      so the queue closes and the workers drain out and exit. *)
-  Listener.start listener (serve_conn t) ~drained:(fun () ->
+  let serve = Front.serve front ~health:(fun () -> health t) ~metrics:(fun () -> metrics t) in
+  Listener.start listener (serve ~solve:(solve t)) ~drained:(fun () ->
       Bqueue.close queue;
       Pool.join pool;
       Log.info "server drained" []);

@@ -15,11 +15,14 @@
     v}
 
     - A {!Listener} gives each accepted connection its own lightweight
-      thread, which handles its client's requests strictly in order (the
-      protocol is synchronous per connection). The listener tracks open
-      connections only — a thread leaves its table when the client goes
-      — so no structure grows with the number of connections served;
-      the table's size is the [spp_connections_open] gauge.
+      thread, which runs {!Front}'s request loop — the one [spp proxy]
+      runs too — over its client's requests strictly in order (the
+      protocol is synchronous per connection). The server supplies only
+      its [health] and [metrics] replies and its solve admission. The
+      listener tracks open connections only — a thread leaves its table
+      when the client goes — so no structure grows with the number of
+      connections served; the table's size is the
+      [spp_connections_open] gauge.
     - A [solve] whose instance text is byte-identical to one the engine
       has answered and still holds in its LRU is answered on the
       connection thread by {!Spp_engine.Engine.find_text}: no parse, no
@@ -52,9 +55,10 @@
       refused), idle connections are woken and closed, in-flight requests
       complete and their replies are written, then the queue closes and
       the workers exit.
-    - Robustness: worker domains are supervised (see {!Pool}) — a job
-      whose worker dies still receives a structured [internal] reply, and
-      deaths/restarts surface as [spp_worker_deaths_total] /
+    - Robustness: a job that raises on its worker (see {!Pool}) still
+      receives a structured [internal] reply, and the worker's domain
+      goes on in place within [max_worker_restarts]; crashes and
+      restarts surface as [spp_worker_deaths_total] /
       [spp_worker_restarts_total]. Connections that idle past
       [idle_timeout_ms] or trickle a request past [read_timeout_ms] are
       reaped ([spp_connections_reaped_total]); [overloaded] replies carry
@@ -73,7 +77,8 @@
     [slow_ms] is set, or when the log level is [Debug]; its span tree
     covers the byte-path [cache.probe], then (on a miss) queue wait, the
     engine's cache probe and race, and the reply write. Requests slower than
-    [slow_ms] are logged at [warn] with the rendered trace attached. *)
+    [slow_ms] are logged at [warn] (and, at [Debug], every traced request)
+    with the span tree attached as a JSON object. *)
 
 type config = {
   address : Framing.address;
@@ -101,7 +106,7 @@ type config = {
       (** backoff hint attached to [overloaded] replies (see
           {!Protocol.response}) *)
   max_worker_restarts : int option;
-      (** per-slot worker restart budget ([None] =
+      (** per-slot budget of crashes a worker goes on after ([None] =
           {!Pool.default_max_restarts}) *)
   deadline_floor_ms : float;
       (** fast-fail [solve] requests whose propagated [deadline_ms]

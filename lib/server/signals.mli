@@ -7,12 +7,12 @@
     SIGTERM-under-load drain cleanly instead of deadlocking on a mutex the
     interrupted thread already holds. *)
 
-(** [on_termination f] installs [f] as the handler for SIGINT and SIGTERM
-    (or [signals]). [f] is called on every delivery and must be
+(** [on_termination f] installs [f] as the handler for SIGINT and
+    SIGTERM. [f] is called on every delivery and must be
     async-signal-light: set flags, nothing blocking. Platforms without a
     signal (or where the handler cannot be installed) are skipped
     silently. *)
-val on_termination : ?signals:int list -> (unit -> unit) -> unit
+val on_termination : (unit -> unit) -> unit
 
 (** [ignore_sigpipe ()] — a peer closing its socket mid-write must surface
     as [EPIPE] on the write, not kill the process. Called by

@@ -32,12 +32,12 @@ let spec_to_string = function
   | Poisson r -> Printf.sprintf "poisson:%g" r
   | Burst { burst_len; idle_gap } -> Printf.sprintf "burst:%d:%g" burst_len idle_gap
 
-let trace ?(n = 40) ?(k = 8) ?(h_den = 4) ?(r_den = 2) ~seed spec =
+let trace ?(n = 40) ?(k = 8) ~seed spec =
   let rng = Prng.create seed in
   match spec with
-  | Poisson rate -> G.poisson_release rng ~n ~k ~h_den ~r_den ~rate
+  | Poisson rate -> G.poisson_release rng ~n ~k ~h_den:4 ~r_den:2 ~rate
   | Burst { burst_len; idle_gap } ->
-    G.bursty_release rng ~n ~k ~h_den ~r_den ~burst_len ~idle_gap
+    G.bursty_release rng ~n ~k ~h_den:4 ~r_den:2 ~burst_len ~idle_gap
 
 type arrival = { id : int; cols : int; duration : Q.t; release : Q.t }
 

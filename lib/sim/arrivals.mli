@@ -20,11 +20,9 @@ val parse_spec : string -> (spec, string) result
 val spec_to_string : spec -> string
 
 (** [trace ~seed spec] draws the full timed trace as a release-time
-    instance. Defaults: [n = 40] tasks, [k = 8] columns, heights in
-    quarters ([h_den = 4]), releases in halves ([r_den = 2]). *)
-val trace :
-  ?n:int -> ?k:int -> ?h_den:int -> ?r_den:int -> seed:int -> spec ->
-  Spp_core.Instance.Release.t
+    instance, heights in quarters and releases in halves. Defaults:
+    [n = 40] tasks, [k = 8] columns. *)
+val trace : ?n:int -> ?k:int -> seed:int -> spec -> Spp_core.Instance.Release.t
 
 (** One timed arrival, in strip units ([cols] of the [k] columns for
     [duration] time, available from [release]). *)

@@ -4,8 +4,6 @@ module I = Spp_core.Instance
 module Rect = Spp_geom.Rect
 module Placement = Spp_geom.Placement
 module Metrics = Spp_obs.Metrics
-module Trace = Spp_obs.Trace
-module Field = Spp_obs.Field
 
 type repack_event = {
   at : Q.t;
@@ -361,28 +359,12 @@ let publish_metrics registry (r : report) =
   Metrics.gauge_set (Metrics.gauge registry "spp_sim_makespan") (Q.to_float r.makespan);
   Metrics.gauge_set (Metrics.gauge registry "spp_sim_fragmentation_mean") (Q.to_float r.frag_mean)
 
-let run ?registry ?trace ?repack_threshold ?(migration_cost = Q.one) ?(exact_repack_max = 7)
-    ~packer inst =
-  let go () =
+let run ?registry ?repack_threshold ?(migration_cost = Q.one) ?(exact_repack_max = 7) ~packer
+    inst =
+  let r =
     match ticks ?repack_threshold inst with
     | Some g -> tick_run g ~migration_cost ~exact_repack_max ~packer inst
     | None -> reference_run ?repack_threshold ~migration_cost ~exact_repack_max ~packer inst
-  in
-  let r =
-    match trace with
-    | None -> go ()
-    | Some tr ->
-      Trace.with_span tr ~parent:(Trace.root tr) "sim.run" (fun sp ->
-          let r = go () in
-          Trace.add_fields tr sp
-            [
-              ("packer", Field.String (Online.to_string packer));
-              ("tasks", Field.Int r.tasks);
-              ("makespan", Field.String (Q.to_string r.makespan));
-              ("repacks", Field.Int (List.length r.repacks));
-              ("cells_migrated", Field.Int r.cells_migrated);
-            ];
-          r)
   in
   (match registry with Some m -> publish_metrics m r | None -> ());
   r

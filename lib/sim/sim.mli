@@ -73,11 +73,9 @@ type report = {
     cell. [exact_repack_max] bounds the exact repack search (default 7
     residents).
 
-    [registry] receives [spp_sim_*] counters/gauges; [trace] gets a
-    [sim.run] span annotated with the headline numbers. *)
+    [registry] receives [spp_sim_*] counters/gauges. *)
 val run :
   ?registry:Spp_obs.Metrics.t ->
-  ?trace:Spp_obs.Trace.t ->
   ?repack_threshold:Spp_num.Rat.t ->
   ?migration_cost:Spp_num.Rat.t ->
   ?exact_repack_max:int ->

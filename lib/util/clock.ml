@@ -23,9 +23,8 @@ let elapsed_ms since = Float.max 0.0 (now_ms () -. since)
 
 let frozen () = Atomic.get virtual_mode
 
-let freeze ?at_ms () =
-  let start = match at_ms with Some v -> v | None -> now_ms () in
-  Atomic.set virtual_ms (Float.max start (Atomic.get last));
+let freeze () =
+  Atomic.set virtual_ms (Float.max (now_ms ()) (Atomic.get last));
   Atomic.set virtual_mode true;
   ignore (clamp (Atomic.get virtual_ms))
 

@@ -22,8 +22,8 @@ val now_ms : unit -> float
 val elapsed_ms : float -> float
 
 (** [freeze ()] switches [now_ms] to a virtual source, initialised to the
-    current time (or [at_ms], clamped to stay monotone). Idempotent. *)
-val freeze : ?at_ms:float -> unit -> unit
+    current time. Idempotent. *)
+val freeze : unit -> unit
 
 (** [advance ms] moves the frozen clock forward by [ms] and returns the
     new [now_ms].

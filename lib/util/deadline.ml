@@ -1,8 +1,6 @@
 type t = { expires_ms : float }  (* absolute, on Clock's monotone timeline *)
 
-let started ?of_ms budget_ms =
-  let t0 = match of_ms with Some t -> t | None -> Clock.now_ms () in
-  { expires_ms = t0 +. Float.max 0.0 budget_ms }
+let started budget_ms = { expires_ms = Clock.now_ms () +. Float.max 0.0 budget_ms }
 
 let of_request = function
   | None -> None

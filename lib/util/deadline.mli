@@ -15,9 +15,8 @@
 type t
 
 (** [started budget_ms] pins a deadline [budget_ms] from now (clamped at
-    0) on the monotone clock. [of_ms] overrides the anchor — for tests
-    that pin to a frozen instant they already read. *)
-val started : ?of_ms:float -> float -> t
+    0) on the monotone clock. *)
+val started : float -> t
 
 (** [of_request deadline_ms] — [started] on the wire field, [None]
     passing through (an unbounded request stays unbounded). *)

@@ -741,6 +741,84 @@ let test_proxy_deadline_fastfail_but_cache_serves () =
       | other -> Alcotest.failf "expected cached Solve_ok, got %s"
                    (Protocol.encode_response other))
 
+(* ------------------------------------------------------------------ *)
+(* The shared request loop, as each daemon runs it *)
+
+(* A request line one byte over [limit] is answered with a [parse] error
+   that names the limit, and the connection then closes. *)
+let check_line_too_long ~what address limit =
+  let fd = Framing.connect address in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Framing.write_line fd (String.make (limit + 1) 'x');
+      let reader = Framing.reader fd in
+      (match Option.map Protocol.decode_response (Framing.read_line reader) with
+       | Some (Ok (Protocol.Error { code = Protocol.Parse; message; _ })) ->
+         Alcotest.(check string) (what ^ ": the error names the limit")
+           (Printf.sprintf "request exceeds %d bytes" limit) message
+       | Some (Ok other) ->
+         Alcotest.failf "%s: expected a parse error, got %s" what (Protocol.encode_response other)
+       | Some (Error msg) -> Alcotest.failf "%s: undecodable reply: %s" what msg
+       | None -> Alcotest.failf "%s: closed without a reply" what);
+      Alcotest.(check (option string)) (what ^ ": then the connection closes") None
+        (Framing.read_line reader))
+
+let test_line_too_long_closes () =
+  with_cluster ~backends:1 (fun cfg _px _srvs ->
+      check_line_too_long ~what:"server" (List.hd cfg.Proxy.backends) (1 lsl 16);
+      check_line_too_long ~what:"proxy" cfg.Proxy.address Framing.default_max_line)
+
+(* The proxy counts its bytes and sizes like the server, and with no
+   deadline registers no reaped counter. *)
+let test_proxy_byte_series () =
+  with_cluster ~backends:1 (fun cfg _px _srvs ->
+      let reg = cfg.Proxy.registry in
+      let request =
+        Protocol.encode_request
+          (Protocol.Solve
+             { instance = instance_text 404 6; budget_ms = None; deadline_ms = None;
+               algos = None; trace_id = None })
+      in
+      let fd = Framing.connect cfg.Proxy.address in
+      let reply =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Framing.write_line fd request;
+            match Framing.read_line (Framing.reader fd) with
+            | Some line -> line
+            | None -> Alcotest.fail "no reply")
+      in
+      (match Protocol.decode_response reply with
+       | Ok (Protocol.Solve_ok _) -> ()
+       | _ -> Alcotest.failf "expected solve_ok, got %s" reply);
+      (* The counts land after the write: wait for the handler to leave. *)
+      let rec settle n =
+        if n > 0 && gauge reg "spp_proxy_connections_open" <> Some 0.0 then begin
+          Thread.delay 0.01;
+          settle (n - 1)
+        end
+      in
+      settle 500;
+      Alcotest.(check (option int)) "bytes read = request line + newline"
+        (Some (String.length request + 1))
+        (Metrics.find_counter reg "spp_proxy_bytes_read_total");
+      Alcotest.(check (option int)) "bytes written = reply line + newline"
+        (Some (String.length reply + 1))
+        (Metrics.find_counter reg "spp_proxy_bytes_written_total");
+      List.iter
+        (fun name ->
+          Alcotest.(check (option int)) (name ^ " holds one sample") (Some 1)
+            (Option.map (fun h -> h.Metrics.total) (Metrics.find_histogram reg name)))
+        [ "spp_proxy_request_bytes"; "spp_proxy_response_bytes" ];
+      Alcotest.(check bool) "no reaped counter" true
+        (List.for_all
+           (fun (s : Metrics.sample) ->
+             s.Metrics.name <> "spp_proxy_connections_reaped_total"
+             && s.Metrics.name <> "spp_connections_reaped_total")
+           (Metrics.snapshot reg)))
+
 let () =
   Random.self_init ();
   Alcotest.run "spp_cluster"
@@ -774,6 +852,10 @@ let () =
             test_proxy_stitches_backend_trace;
           Alcotest.test_case "byte hit equals the first reply" `Quick
             test_proxy_byte_hit_matches_first_reply;
+          Alcotest.test_case "over-long line: parse error, then close" `Quick
+            test_line_too_long_closes;
+          Alcotest.test_case "byte and size series after one solve" `Quick
+            test_proxy_byte_series;
         ] );
       ( "breaker",
         [

@@ -1,9 +1,9 @@
 (* Chaos tests: the Spp_util.Fault registry itself (spec parsing,
    determinism, one-shot and delay actions), checksummed store entries
    degrading to misses, and a live server surviving injected faults —
-   worker death answered with structured errors and a restarted pool,
-   idle connections reaped, overload replies carrying retry hints, and
-   the retrying client converging through all of it.
+   worker crashes answered with structured errors and slots restarted
+   in place, idle connections reaped, overload replies carrying retry
+   hints, and the retrying client converging through all of it.
 
    Fault state is process-global; every test that arms it clears it in a
    [Fun.protect] finaliser so cases stay independent (alcotest runs them
@@ -299,7 +299,7 @@ let test_worker_crash_supervised () =
   with_faults "pool.job=once" (fun () ->
       with_server (base_config address engine) (fun _srv ->
           Client.with_connection address (fun c ->
-              (* The first job kills its worker domain. The client must
+              (* The first job crashes its worker. The client must
                  still get a protocol-valid structured reply — not a
                  hang, not a reset connection. *)
               (match Client.request c (solve_req 21) with
@@ -312,8 +312,8 @@ let test_worker_crash_supervised () =
                | other ->
                  Alcotest.failf "expected internal error, got %s"
                    (Protocol.encode_response other));
-              (* The supervisor restarts the slot; the same connection's
-                 next request is served by the replacement worker. *)
+              (* The slot restarts in place; the same connection's next
+                 request is served by it. *)
               match Client.request c (solve_req 22) with
               | Protocol.Solve_ok _ -> ()
               | other ->
@@ -502,6 +502,40 @@ let test_connect_failure_typed () =
   | exception Client.Error { kind = Client.Connect_failed; attempts; _ } ->
     Alcotest.(check int) "all attempts spent" 3 attempts
 
+(* The restart budget is per slot and exact: with one worker and a
+   budget of two, the first three jobs crash (two restarts in place, then
+   the slot retires), and the pool is dead for the fourth. *)
+let test_restart_budget_exact () =
+  let sock = temp_sock () in
+  let address = Framing.Unix_sock sock in
+  let engine = Engine.create () in
+  let reg = Telemetry.metrics (Engine.telemetry engine) in
+  let prefixed p m = String.length m >= String.length p && String.sub m 0 (String.length p) = p in
+  with_faults "pool.job=1" (fun () ->
+      let config =
+        { (base_config address engine) with Server.max_worker_restarts = Some 2 }
+      in
+      with_server config (fun _srv ->
+          Client.with_connection address (fun c ->
+              for i = 1 to 3 do
+                match Client.request c (solve_req (50 + i)) with
+                | Protocol.Error { code = Protocol.Internal; message; _ }
+                  when prefixed "worker crashed" message -> ()
+                | other ->
+                  Alcotest.failf "request %d: expected a crash reply, got %s" i
+                    (Protocol.encode_response other)
+              done;
+              match Client.request c (solve_req 54) with
+              | Protocol.Error { code = Protocol.Internal; message; _ }
+                when prefixed "worker pool" message -> ()
+              | other ->
+                Alcotest.failf "request 4: expected a dead pool, got %s"
+                  (Protocol.encode_response other));
+          Alcotest.(check (option int)) "three deaths" (Some 3)
+            (Metrics.find_counter reg "spp_worker_deaths_total");
+          Alcotest.(check (option int)) "two restarts" (Some 2)
+            (Metrics.find_counter reg "spp_worker_restarts_total")))
+
 let () =
   Random.self_init ();
   Alcotest.run "spp_faults"
@@ -541,5 +575,7 @@ let () =
           Alcotest.test_case "retry storm converges" `Quick test_retry_storm_converges;
           Alcotest.test_case "client timeout is typed" `Quick test_client_times_out;
           Alcotest.test_case "connect failure is typed" `Quick test_connect_failure_typed;
+          Alcotest.test_case "restart budget is per slot and exact" `Quick
+            test_restart_budget_exact;
         ] );
     ]

@@ -726,7 +726,31 @@ let test_slow_request_log () =
       List.iter
         (fun needle ->
           Alcotest.(check bool) (Printf.sprintf "log has %S" needle) true (contains ~needle out))
-        [ "slow request"; "slowslowslowslow"; "queue.wait"; "solve" ])
+        [ "slow request"; "slowslowslowslow"; "queue.wait"; "solve" ];
+      (* The warn line parses, and carries the span tree as an object. *)
+      let line =
+        match
+          List.find_opt (contains ~needle:"slow request") (String.split_on_char '\n' out)
+        with
+        | Some l -> l
+        | None -> Alcotest.fail "no slow-request line"
+      in
+      let j = match Json.of_string line with Ok j -> j | Error e -> Alcotest.failf "%s: %s" e line in
+      let root =
+        match Option.bind (Json.member "trace" j) (Json.member "root") with
+        | Some r -> r
+        | None -> Alcotest.failf "no trace object with a root: %s" line
+      in
+      Alcotest.(check (option string)) "root span" (Some "request")
+        (Option.bind (Json.member "name" root) Json.get_string);
+      let rec has_span name j =
+        Option.bind (Json.member "name" j) Json.get_string = Some name
+        ||
+        match Json.member "spans" j with
+        | Some (Json.List l) -> List.exists (has_span name) l
+        | _ -> false
+      in
+      Alcotest.(check bool) "tree has queue.wait" true (has_span "queue.wait" root))
 
 let () =
   Alcotest.run "spp_obs"
