@@ -794,6 +794,21 @@ let log_file_arg =
   Arg.(value & opt (some string) None
        & info [ "log-file" ] ~doc:"Append JSON log lines to this file instead of stderr.")
 
+(* The client deadlines both daemons take; 0 disables one. *)
+let idle_timeout_arg =
+  Arg.(value & opt float 30_000.0
+       & info [ "idle-timeout-ms" ]
+           ~doc:"Reap connections idle (no new request) for this many milliseconds; 0 \
+                 disables the timeout.")
+
+let read_timeout_arg =
+  Arg.(value & opt float 10_000.0
+       & info [ "read-timeout-ms" ]
+           ~doc:"Reap connections whose request line takes longer than this to arrive after \
+                 its first byte (slow-loris guard); 0 disables the timeout.")
+
+let client_deadline ms = if ms > 0.0 then Some ms else None
+
 (* The daemon lifecycle shared by serve and proxy: open the log, [start]
    the daemon (a bind failure exits 66), the scrape endpoint and the
    runtime sampler behind it, [banner] the start-up lines, then wait for
@@ -856,18 +871,6 @@ let serve_cmd =
          & info [ "slow-ms" ]
              ~doc:"Log requests slower than this many milliseconds at warn level, with their \
                    span tree attached. Forces every solve request to be traced.")
-  in
-  let idle_timeout_ms =
-    Arg.(value & opt float 30_000.0
-         & info [ "idle-timeout-ms" ]
-             ~doc:"Reap connections idle (no new request) for this many milliseconds; 0 \
-                   disables the timeout.")
-  in
-  let read_timeout_ms =
-    Arg.(value & opt float 10_000.0
-         & info [ "read-timeout-ms" ]
-             ~doc:"Reap connections whose request line takes longer than this to arrive after \
-                   its first byte (slow-loris guard); 0 disables the timeout.")
   in
   let retry_after_ms =
     Arg.(value & opt int Server.default_retry_after_ms
@@ -941,8 +944,8 @@ let serve_cmd =
            per-solve width so workers * racers stays near the core count. *)
         solve_workers = Some (max 1 (available / workers));
         max_request_bytes = Server.default_max_request_bytes; slow_ms;
-        idle_timeout_ms = (if idle_timeout_ms > 0.0 then Some idle_timeout_ms else None);
-        read_timeout_ms = (if read_timeout_ms > 0.0 then Some read_timeout_ms else None);
+        idle_timeout_ms = client_deadline idle_timeout_ms;
+        read_timeout_ms = client_deadline read_timeout_ms;
         retry_after_ms; max_worker_restarts; deadline_floor_ms }
     in
     run_daemon ~name:"serve" ~address ~log_file ~metrics_port
@@ -959,7 +962,7 @@ let serve_cmd =
              the wire protocol)")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ workers $ queue_depth $ budget_arg
           $ cache_dir_arg $ no_cache_arg $ cache_max_arg $ stats_json_arg $ metrics_port_arg
-          $ log_file_arg $ slow_ms $ idle_timeout_ms $ read_timeout_ms $ retry_after_ms
+          $ log_file_arg $ slow_ms $ idle_timeout_arg $ read_timeout_arg $ retry_after_ms
           $ max_worker_restarts $ deadline_floor_ms $ faults $ fault_seed)
 
 let exit_code_of_error = function
@@ -1474,7 +1477,8 @@ let proxy_cmd =
   in
   let run socket port host backends replicas cache_cap pool_size upstream_timeout_ms failover
       probe_ms fail_after revive_after hedge breaker_window breaker_threshold
-      breaker_cooldown_ms metrics_port log_file faults fault_seed =
+      breaker_cooldown_ms idle_timeout_ms read_timeout_ms metrics_port log_file faults
+      fault_seed =
     let address = resolve_address socket port host in
     arm_faults ~flag:faults ~seed_flag:fault_seed;
     let registry = Spp_obs.Metrics.create () in
@@ -1485,6 +1489,8 @@ let proxy_cmd =
           (if upstream_timeout_ms > 0.0 then Some upstream_timeout_ms else None);
         failover; probe_interval_ms = probe_ms; fail_after; revive_after; registry; hedge;
         breaker_window; breaker_threshold; breaker_cooldown_ms;
+        idle_timeout_ms = client_deadline idle_timeout_ms;
+        read_timeout_ms = client_deadline read_timeout_ms;
         (* Per-process jitter seed: a fleet of proxies must not probe in
            lockstep. *)
         seed = Unix.getpid () lxor int_of_float (Clock.now_ms ()) }
@@ -1512,7 +1518,8 @@ let proxy_cmd =
     Term.(const run $ socket_arg $ port_arg $ host_arg $ backends $ replicas $ cache_cap
           $ pool_size $ upstream_timeout_ms $ failover $ probe_ms $ fail_after $ revive_after
           $ hedge_ms $ breaker_window $ breaker_threshold $ breaker_cooldown_ms
-          $ metrics_port_arg $ log_file_arg $ faults $ fault_seed)
+          $ idle_timeout_arg $ read_timeout_arg $ metrics_port_arg $ log_file_arg $ faults
+          $ fault_seed)
 
 (* ------------------------------------------------------------------ *)
 (* trace *)

@@ -846,6 +846,18 @@ let diff_sim_check =
 (* ------------------------------------------------------------------ *)
 (* Differential: the integer order-search kernel vs the rational search *)
 
+(* [search ()] with the ambient profile it reported. *)
+let profiled search =
+  Spp_obs.Profile.reset ();
+  let out = search () in
+  (out, Spp_obs.Profile.read ())
+
+(* The ids of [p]'s items in list order: a view the id-sorted placement
+   text does not show. *)
+let item_order p =
+  String.concat " "
+    (List.map (fun (it : Placement.item) -> string_of_int it.Placement.rect.Rect.id) (Placement.items p))
+
 let order_versions parsed =
   ("as generated", parsed) :: List.map (fun (label, p, _) -> (label, scale_y (times p) parsed)) scaled
 
@@ -864,22 +876,12 @@ let diff_order =
       if n > engine_gate then Skip
       else with_exact_budget @@ fun cancel ->
         let module O = Spp_exact.Order_search in
-        let profiled search =
-          Spp_obs.Profile.reset ();
-          let out = search () in
-          (out, Spp_obs.Profile.read ())
-        in
         (* Each view of a result as text; the placement text is sorted by
            id, so the item list's own order (newest first) is a view too. *)
         let views =
           [ ("height", fun ((o : O.outcome), _) -> qs o.O.height);
             ("placement", fun (o, _) -> Io.placement_to_string o.O.placement);
-            ( "item order",
-              fun (o, _) ->
-                String.concat " "
-                  (List.map
-                     (fun (it : Placement.item) -> string_of_int it.Placement.rect.Rect.id)
-                     (Placement.items o.O.placement)) );
+            ("item order", fun (o, _) -> item_order o.O.placement);
             ("nodes", fun (o, _) -> string_of_int o.O.nodes_expanded);
             ( "profile nodes/pruned",
               fun (_, (p : Spp_obs.Profile.snapshot)) ->
@@ -911,6 +913,67 @@ let diff_order =
                fun () ->
                  Printf.sprintf "scaling y changed the tree: %s nodes"
                    (String.concat " / " (List.map string_of_int nodes))) ]))
+
+(* ------------------------------------------------------------------ *)
+(* Differential: the integer B&B kernel vs the rational search *)
+
+let diff_bb =
+  prop "diff.bb"
+    "on n <= 9: Normal_bb.solve (the integer kernel) returns exactly what Normal_bb.Rational \
+     returns: height, placement text, item order, nodes expanded and profile node, pruned and \
+     dominated counts, with dominance on and off, on the instance as generated and with every \
+     height scaled by p/(p+1) for p = 2^20 - 3 (on the grid) and p = 2^61 - 1 (the rational \
+     path, by Normal_bb.on_grid); the scaled searches expand the same number of nodes"
+    [ "prec"; "bb" ]
+    (on_prec (fun inst ->
+         if I.Prec.size inst > exact_gate then Skip
+         else with_exact_budget @@ fun cancel ->
+           let module B = Spp_exact.Normal_bb in
+           let views =
+             [ ("height", fun ((o : B.outcome), _) -> qs o.B.height);
+               ("placement", fun (o, _) -> Io.placement_to_string o.B.placement);
+               ("item order", fun (o, _) -> item_order o.B.placement);
+               ("nodes", fun (o, _) -> string_of_int o.B.nodes_expanded);
+               ( "profile nodes/pruned/dominated",
+                 fun (_, (p : Spp_obs.Profile.snapshot)) ->
+                   Printf.sprintf "%d/%d/%d" p.Spp_obs.Profile.bb_nodes p.Spp_obs.Profile.bb_pruned
+                     p.Spp_obs.Profile.bb_dominated ) ]
+           in
+           let versions =
+             ("as generated", inst, None)
+             :: List.map
+                  (fun (label, p, expect) ->
+                    match scale_y (times p) (Io.Prec inst) with
+                    | Io.Prec scaled -> (label, scaled, Some expect)
+                    | Io.Release _ -> assert false)
+                  scaled
+           in
+           let compare_on dominance (label, inst, expect) =
+             let label = Printf.sprintf "%s, dominance %b" label dominance in
+             let fast = profiled (fun () -> B.solve ~cancel ~dominance inst) in
+             let slow = profiled (fun () -> B.Rational.solve ~cancel ~dominance inst) in
+             ( (fst fast).B.nodes_expanded,
+               (match expect with
+                | None -> []
+                | Some expect ->
+                  [ path label "B&B" ~expect ~empty:(inst.I.Prec.rects = []) (B.on_grid inst) ])
+               @ List.map
+                   (fun (what, view) ->
+                     ( view fast = view slow,
+                       fun () ->
+                         Printf.sprintf "%s: %s %s, rational %s" label what (view fast) (view slow) ))
+                   views )
+           in
+           let checks dominance =
+             let results = List.map (compare_on dominance) versions in
+             let nodes = List.map fst results in
+             List.concat_map snd results
+             @ [ (List.for_all (( = ) (List.hd nodes)) nodes,
+                  fun () ->
+                    Printf.sprintf "dominance %b: scaling y changed the tree: %s nodes" dominance
+                      (String.concat " / " (List.map string_of_int nodes))) ]
+           in
+           all_pass (checks true @ checks false)))
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the simulator on ticks vs the rational loop *)
@@ -1750,8 +1813,8 @@ let all =
     diff_engine; sound_engine_degraded;
     meta_relabel; meta_edge_drop; meta_release_slacken;
     sound_sim_ff; sound_sim_buffered; sound_sim_repack; sim_stream;
-    diff_validate; diff_sim_check; diff_sim; diff_hitpath; diff_order; diff_simplex; diff_word; diff_dc;
-    diff_f;
+    diff_validate; diff_sim_check; diff_sim; diff_hitpath; diff_order; diff_bb; diff_simplex;
+    diff_word; diff_dc; diff_f;
   ]
 
 let select ?algos ~variant () =

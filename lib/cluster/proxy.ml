@@ -34,6 +34,8 @@ type config = {
   breaker_window : int;
   breaker_threshold : int;
   breaker_cooldown_ms : float;
+  idle_timeout_ms : float option;
+  read_timeout_ms : float option;
 }
 
 let default_config ~address ~backends () =
@@ -42,7 +44,8 @@ let default_config ~address ~backends () =
     failover = 2; probe_interval_ms = 1_000.0; fail_after = 3; revive_after = 2;
     registry = Metrics.create (); seed = 0; hedge = Hedge_off;
     breaker_window = Breaker.default_window; breaker_threshold = Breaker.default_threshold;
-    breaker_cooldown_ms = Breaker.default_cooldown_ms }
+    breaker_cooldown_ms = Breaker.default_cooldown_ms; idle_timeout_ms = Some 30_000.0;
+    read_timeout_ms = Some 10_000.0 }
 
 (* Auto-hedging needs enough latency history to know what "slow" means,
    and must never hedge at microsecond scale just because the backends
@@ -626,11 +629,12 @@ let start (cfg : config) =
   if Hashtbl.length by_name <> Array.length backends then
     invalid_arg "Proxy.start: duplicate backend address";
   let listener = Listener.bind cfg.address in
-  (* The proxy keeps the framing layer's line cap and sets no deadline. *)
+  (* The proxy keeps the framing layer's line cap and reaps idle and
+     trickling clients under its own deadlines. *)
   let front =
     Front.create cfg.registry ~daemon:"proxy" ~prefix:"spp_proxy_" ~ops:"spp_proxy_ops_total"
-      { Front.max_line_bytes = Framing.default_max_line; idle_timeout_ms = None;
-        read_timeout_ms = None; slow_ms = None }
+      { Front.max_line_bytes = Framing.default_max_line; idle_timeout_ms = cfg.idle_timeout_ms;
+        read_timeout_ms = cfg.read_timeout_ms; slow_ms = None }
       listener
   in
   let bounded () =

@@ -111,12 +111,20 @@ type config = {
   breaker_window : int;  (** rolling outcomes per backend, see {!Breaker} *)
   breaker_threshold : int;  (** failures within the window that trip it *)
   breaker_cooldown_ms : float;  (** open time before the half-open probe *)
+  idle_timeout_ms : float option;
+      (** close a client connection that starts no new request for this
+          long ([None] = never); counted in
+          [spp_proxy_connections_reaped_total] *)
+  read_timeout_ms : float option;
+      (** close a client connection whose request line takes longer than
+          this to complete from its first byte ([None] = never) *)
 }
 
 (** Defaults: 64 replicas, 512 cache entries, pool of 2, 5 s upstream
     timeout, failover 2, 1 s probes, fail after 3, revive after 2,
-    seed 0, hedging off, breaker 5-of-8 with a 5 s cooldown. [registry]
-    is fresh and enabled. *)
+    seed 0, hedging off, breaker 5-of-8 with a 5 s cooldown, and
+    [spp serve]'s client deadlines: 30 s idle, 10 s per request line.
+    [registry] is fresh and enabled. *)
 val default_config :
   address:Spp_server.Framing.address ->
   backends:Spp_server.Framing.address list -> unit -> config

@@ -1,9 +1,17 @@
+(* The age index: every entry this store knows, oldest write first.
+   [ages] maps a fingerprint to the stamp of its latest write and [order]
+   holds (stamp, fingerprint) pairs in stamp order; a rewrite pushes a
+   new pair, so a pair whose stamp is no longer its fingerprint's is
+   stale and skipped. Exact for this process's writes; entries other
+   processes write or delete are picked up at each directory listing. *)
 type t = {
   dir : string;
   max_entries : int;
-  lock : Mutex.t;  (* guards count and the rename+prune sequence *)
-  mutable count : int;  (* .sol files currently in dir (approximate
-                           across processes, exact within one) *)
+  lock : Mutex.t;  (* guards the index and the rename+prune sequence *)
+  ages : (string, int) Hashtbl.t;
+  order : (int * string) Queue.t;
+  mutable stamp : int;
+  mutable past_cap : int;  (* writes past the cap since the last listing *)
   mutable prunes : int;  (* entries deleted by capacity pruning *)
   mutable corrupt : int;  (* entries rejected by checksum on load *)
 }
@@ -29,16 +37,50 @@ let is_tmp f =
 
 let entries dir = try Sys.readdir dir with Sys_error _ -> [||]
 
+(* [fp] becomes the youngest entry. Once stale pairs outnumber the live
+   ones, [order] is rebuilt from the live pairs alone, so it stays within
+   twice the entry count however often entries are rewritten. *)
+let touch t fp =
+  t.stamp <- t.stamp + 1;
+  Hashtbl.replace t.ages fp t.stamp;
+  Queue.push (t.stamp, fp) t.order;
+  if Queue.length t.order > 2 * Hashtbl.length t.ages then begin
+    let live = Queue.create () in
+    Queue.iter
+      (fun ((s, fp) as e) -> if Hashtbl.find_opt t.ages fp = Some s then Queue.push e live)
+      t.order;
+    Queue.clear t.order;
+    Queue.transfer live t.order
+  end
+
+(* Rebuilds the index from a listing of the directory: its [.sol]
+   entries, oldest mtime first. *)
+let index t files =
+  Hashtbl.reset t.ages;
+  Queue.clear t.order;
+  Array.to_list files
+  |> List.filter_map (fun f ->
+         if not (is_sol f) then None
+         else
+           match Unix.stat (Filename.concat t.dir f) with
+           | s -> Some (s.Unix.st_mtime, Filename.chop_suffix f ".sol")
+           | exception Unix.Unix_error _ -> None)
+  |> List.sort compare
+  |> List.iter (fun (_, fp) -> touch t fp)
+
 let create ?(max_entries = default_max_entries) ~dir () =
   if max_entries < 1 then invalid_arg "Store.create: max_entries must be >= 1";
   mkdir_p dir;
-  let count = ref 0 in
+  let files = entries dir in
   Array.iter
-    (fun f ->
-      if is_tmp f then (try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      else if is_sol f then incr count)
-    (entries dir);
-  { dir; max_entries; lock = Mutex.create (); count = !count; prunes = 0; corrupt = 0 }
+    (fun f -> if is_tmp f then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    files;
+  let t =
+    { dir; max_entries; lock = Mutex.create (); ages = Hashtbl.create 64; order = Queue.create ();
+      stamp = 0; past_cap = 0; prunes = 0; corrupt = 0 }
+  in
+  index t files;
+  t
 
 let dir t = t.dir
 let max_entries t = t.max_entries
@@ -47,7 +89,7 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let length t = locked t (fun () -> t.count)
+let length t = locked t (fun () -> Hashtbl.length t.ages)
 let prunes t = locked t (fun () -> t.prunes)
 let corrupt t = locked t (fun () -> t.corrupt)
 
@@ -97,29 +139,25 @@ let find t ~rects ~fingerprint =
           | exception Failure _ -> None)
         | _ -> None)))
 
-(* Over capacity: re-count from the directory (another process may have
-   pruned concurrently) and delete oldest-mtime entries down to the cap. *)
+(* Over capacity: delete the oldest entries down to the cap. Once every
+   [max_entries] writes past the cap, the index is first rebuilt from the
+   directory, so entries other processes wrote are pruned too, by mtime. *)
 let prune_locked t =
-  if t.count > t.max_entries then begin
-    let sols =
-      entries t.dir |> Array.to_list
-      |> List.filter is_sol
-      |> List.filter_map (fun f ->
-             let p = Filename.concat t.dir f in
-             match Unix.stat p with
-             | s -> Some (s.Unix.st_mtime, p)
-             | exception Unix.Unix_error _ -> None)
-      |> List.sort compare
-    in
-    t.count <- List.length sols;
-    let excess = t.count - t.max_entries in
-    if excess > 0 then begin
-      List.iteri
-        (fun i (_, p) -> if i < excess then try Sys.remove p with Sys_error _ -> ())
-        sols;
-      t.count <- t.count - excess;
-      t.prunes <- t.prunes + excess
-    end
+  if Hashtbl.length t.ages > t.max_entries then begin
+    t.past_cap <- t.past_cap + 1;
+    if t.past_cap >= t.max_entries then begin
+      t.past_cap <- 0;
+      index t (entries t.dir)
+    end;
+    while Hashtbl.length t.ages > t.max_entries do
+      let s, fp = Queue.pop t.order in
+      if Hashtbl.find_opt t.ages fp = Some s then begin
+        Hashtbl.remove t.ages fp;
+        match Sys.remove (path t fp) with
+        | () -> t.prunes <- t.prunes + 1
+        | exception Sys_error _ -> ()  (* already gone *)
+      end
+    done
   end
 
 let tmp_seq = Atomic.make 0
@@ -137,7 +175,6 @@ let add t ~fingerprint ~winner placement =
       Out_channel.output_string oc (crc_prefix ^ Spp_util.Crc32.digest_hex body ^ "\n");
       Out_channel.output_string oc body);
   locked t (fun () ->
-      let existed = Sys.file_exists file in
       Sys.rename tmp file;
-      if not existed then t.count <- t.count + 1;
+      touch t fingerprint;
       prune_locked t)

@@ -23,11 +23,17 @@
     Fault points (see {!Spp_util.Fault}): [store.read] makes {!find}
     return [None]; [store.write] makes {!add} raise [Injected].
 
-    The store is bounded: above [max_entries] the oldest entries (by file
-    mtime) are pruned on insertion, so a long-running daemon cannot grow
-    the directory without limit. Orphaned temp files left by crashed
-    writers are removed on {!create}. Mutex-protected — one store may be
-    shared by worker domains. *)
+    The store is bounded: above [max_entries] the oldest entries are
+    pruned on insertion, so a long-running daemon cannot grow the
+    directory without limit. Age is kept in memory: {!create} seeds it
+    from the directory, oldest mtime first; a new entry joins the young
+    end and a replaced one moves there (its rename gave it a fresh
+    mtime); pruning deletes from the old end. A write touches the
+    directory listing only once every [max_entries] writes past the cap,
+    when the index is rebuilt from the directory's mtimes, so entries
+    other processes wrote are pruned too. Orphaned temp files left by
+    crashed writers are removed on {!create}. Mutex-protected — one store
+    may be shared by worker domains. *)
 
 type t
 
@@ -45,12 +51,13 @@ val dir : t -> string
 val max_entries : t -> int
 
 (** [length t] is the current entry count (exact for this process's
-    writes; other processes writing the same directory are re-counted at
-    each prune). *)
+    writes; entries other processes write to the same directory are
+    counted from the next directory listing on). *)
 val length : t -> int
 
 (** [prunes t] is how many entries capacity pruning has deleted over this
-    store's lifetime — surfaced as the [spp_store_prunes_total] metric. *)
+    store's lifetime, each counted once — surfaced as the
+    [spp_store_prunes_total] metric. *)
 val prunes : t -> int
 
 (** [corrupt t] is how many entries failed their checksum on load over
@@ -65,6 +72,7 @@ val find :
   (string * Spp_geom.Placement.t) option
 
 (** [add t ~fingerprint ~winner placement] writes the entry atomically
-    (unique temp file + rename), replacing any previous one, then prunes
-    oldest-mtime entries while the store exceeds its cap. *)
+    (unique temp file + rename), replacing any previous one, makes it the
+    youngest, then prunes the oldest entries while the store exceeds its
+    cap. *)
 val add : t -> fingerprint:string -> winner:string -> Spp_geom.Placement.t -> unit

@@ -218,15 +218,20 @@ let start_backend () =
   (address, srv)
 
 let with_cluster ?(backends = 2) ?(cache_capacity = 64) ?(failover = 1) ?(fail_after = 3)
-    ?(probe_interval_ms = 200.0) f =
+    ?(probe_interval_ms = 200.0) ?idle_timeout_ms ?read_timeout_ms f =
   let started = List.init backends (fun _ -> start_backend ()) in
   let registry = Metrics.create () in
+  let base =
+    Proxy.default_config ~address:(Framing.Unix_sock (temp_sock "proxy"))
+      ~backends:(List.map fst started) ()
+  in
+  let or_default given default = match given with Some _ -> given | None -> default in
   let cfg =
-    { (Proxy.default_config ~address:(Framing.Unix_sock (temp_sock "proxy"))
-         ~backends:(List.map fst started) ())
-      with
+    { base with
       Proxy.cache_capacity; failover; fail_after; probe_interval_ms;
-      upstream_timeout_ms = Some 2_000.0; registry; revive_after = 1; seed = 42 }
+      upstream_timeout_ms = Some 2_000.0; registry; revive_after = 1; seed = 42;
+      idle_timeout_ms = or_default idle_timeout_ms base.Proxy.idle_timeout_ms;
+      read_timeout_ms = or_default read_timeout_ms base.Proxy.read_timeout_ms }
   in
   let px = Proxy.start cfg in
   Fun.protect
@@ -769,8 +774,8 @@ let test_line_too_long_closes () =
       check_line_too_long ~what:"server" (List.hd cfg.Proxy.backends) (1 lsl 16);
       check_line_too_long ~what:"proxy" cfg.Proxy.address Framing.default_max_line)
 
-(* The proxy counts its bytes and sizes like the server, and with no
-   deadline registers no reaped counter. *)
+(* The proxy counts its bytes and sizes like the server, and registers
+   its reaped counter, which one answered request leaves at 0. *)
 let test_proxy_byte_series () =
   with_cluster ~backends:1 (fun cfg _px _srvs ->
       let reg = cfg.Proxy.registry in
@@ -812,12 +817,45 @@ let test_proxy_byte_series () =
           Alcotest.(check (option int)) (name ^ " holds one sample") (Some 1)
             (Option.map (fun h -> h.Metrics.total) (Metrics.find_histogram reg name)))
         [ "spp_proxy_request_bytes"; "spp_proxy_response_bytes" ];
-      Alcotest.(check bool) "no reaped counter" true
-        (List.for_all
-           (fun (s : Metrics.sample) ->
-             s.Metrics.name <> "spp_proxy_connections_reaped_total"
-             && s.Metrics.name <> "spp_connections_reaped_total")
-           (Metrics.snapshot reg)))
+      Alcotest.(check (option int)) "the reaped counter is registered and reads 0" (Some 0)
+        (Metrics.find_counter reg "spp_proxy_connections_reaped_total"))
+
+(* A client that connects and sends nothing is closed at the proxy's
+   idle deadline, counted once; the proxy still answers a fresh
+   connection. *)
+let test_proxy_reaps_idle_client () =
+  with_cluster ~backends:1 ~idle_timeout_ms:80.0 (fun cfg _px _srvs ->
+      let fd = Framing.connect cfg.Proxy.address in
+      let reader = Framing.reader fd in
+      let t0 = Clock.now_ms () in
+      Alcotest.(check (option string)) "reaped with EOF" None (Framing.read_line reader);
+      Alcotest.(check bool) "after the idle deadline" true (Clock.elapsed_ms t0 >= 60.0);
+      Unix.close fd;
+      Alcotest.(check (option int)) "reap counted once" (Some 1)
+        (Metrics.find_counter cfg.Proxy.registry "spp_proxy_connections_reaped_total");
+      match
+        Client.with_connection ~timeout_ms:5_000.0 cfg.Proxy.address (fun c ->
+            Client.request c Protocol.Health)
+      with
+      | Protocol.Health_ok _ -> ()
+      | other -> Alcotest.failf "proxy unhealthy after reap: %s" (Protocol.encode_response other))
+
+(* A client that sends half a request line and stops is closed by the
+   read deadline, long before the idle one. *)
+let test_proxy_reaps_trickling_client () =
+  with_cluster ~backends:1 ~read_timeout_ms:80.0 (fun cfg _px _srvs ->
+      let fd = Framing.connect cfg.Proxy.address in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let half = "{\"op\":\"hea" in
+          ignore (Unix.write_substring fd half 0 (String.length half) : int);
+          let t0 = Clock.now_ms () in
+          Alcotest.(check (option string)) "closed without a reply" None
+            (Framing.read_line (Framing.reader fd));
+          Alcotest.(check bool) "after the read deadline" true (Clock.elapsed_ms t0 >= 60.0));
+      Alcotest.(check (option int)) "reap counted once" (Some 1)
+        (Metrics.find_counter cfg.Proxy.registry "spp_proxy_connections_reaped_total"))
 
 let () =
   Random.self_init ();
@@ -856,6 +894,10 @@ let () =
             test_line_too_long_closes;
           Alcotest.test_case "byte and size series after one solve" `Quick
             test_proxy_byte_series;
+          Alcotest.test_case "reaps a silent client at the idle deadline" `Quick
+            test_proxy_reaps_idle_client;
+          Alcotest.test_case "reaps a trickling client at the read deadline" `Quick
+            test_proxy_reaps_trickling_client;
         ] );
       ( "breaker",
         [

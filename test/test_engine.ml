@@ -242,6 +242,60 @@ let test_store_bounded () =
     (Invalid_argument "Store.create: max_entries must be >= 1") (fun () ->
       ignore (Store.create ~max_entries:0 ~dir ()))
 
+(* A store capped at four, written from [n] distinct instances; returns
+   the fingerprints in write order. *)
+let fill_store store seeds =
+  List.map
+    (fun seed ->
+      let inst = random_prec seed 5 in
+      let fingerprint = Fingerprint.prec inst in
+      Store.add store ~fingerprint ~winner:"ls" (Spp_core.List_schedule.prec inst);
+      fingerprint)
+    seeds
+
+let sols dir =
+  List.sort compare
+    (List.filter (fun f -> Filename.check_suffix f ".sol") (Array.to_list (Sys.readdir dir)))
+
+let test_store_age_index () =
+  let dir = temp_store_dir () in
+  let store = Store.create ~max_entries:4 ~dir () in
+  let fps = fill_store store (List.init 20 (fun i -> 500 + i)) in
+  let newest = List.filteri (fun i _ -> i >= 16) fps in
+  Alcotest.(check (list string)) "20 writes leave the 4 newest"
+    (List.sort compare (List.map (fun fp -> fp ^ ".sol") newest))
+    (sols dir);
+  Alcotest.(check int) "each deletion counted once" 16 (Store.prunes store);
+  (* A rewrite moves an entry to the young end: three more writes prune
+     the three entries written after it, not it. *)
+  let rewritten = List.hd newest in
+  let inst = random_prec 516 5 in
+  Alcotest.(check string) "same instance" rewritten (Fingerprint.prec inst);
+  Store.add store ~fingerprint:rewritten ~winner:"dc" (Spp_core.List_schedule.prec inst);
+  let later = fill_store store [ 600; 601; 602 ] in
+  Alcotest.(check (list string)) "the rewritten entry survives as the newest before them"
+    (List.sort compare (List.map (fun fp -> fp ^ ".sol") (rewritten :: later)))
+    (sols dir);
+  Alcotest.(check int) "three more deletions" 19 (Store.prunes store);
+  (* Another process's entry, older than everything: the next directory
+     listing, at most four writes past the cap away, prunes it. *)
+  let foreign = Filename.concat dir "foreign.sol" in
+  Out_channel.with_open_text foreign (fun oc -> Out_channel.output_string oc "winner ls\n");
+  (* The epoch's first second: [Unix.utimes] reads 0.0 as "now". *)
+  Unix.utimes foreign 1.0 1.0;
+  let rec write_until_gone k =
+    if Sys.file_exists foreign && k < 4 then begin
+      ignore (fill_store store [ 700 + k ]);
+      write_until_gone (k + 1)
+    end
+    else k
+  in
+  let writes = write_until_gone 0 in
+  Alcotest.(check bool) (Printf.sprintf "foreign entry gone after %d writes" writes) false
+    (Sys.file_exists foreign);
+  Alcotest.(check int) "still at the cap" 4 (List.length (sols dir));
+  Alcotest.(check int) "the foreign deletion counted once" (19 + writes + 1) (Store.prunes store)
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -421,6 +475,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
           Alcotest.test_case "bounded with mtime pruning" `Quick test_store_bounded;
+          Alcotest.test_case "age index: newest kept, foreign entries pruned" `Quick
+            test_store_age_index;
         ] );
       ( "engine",
         [

@@ -292,9 +292,11 @@ module Normal_bb = Spp_exact.Normal_bb
 
 let test_normal_bb_trivial () =
   let inst = prec [ rect 0 1 2 1 1; rect 1 1 2 1 1 ] [] in
+  Alcotest.(check bool) "on the grid" true (Normal_bb.on_grid inst);
   let out = Normal_bb.solve inst in
   Alcotest.(check string) "side by side" "1" (Q.to_string out.Normal_bb.height);
   let chain = prec [ rect 0 1 2 1 1; rect 1 1 2 1 1 ] [ (0, 1) ] in
+  Alcotest.(check bool) "chain on the grid" true (Normal_bb.on_grid chain);
   Alcotest.(check string) "chain serialises" "2" (Q.to_string (Normal_bb.solve chain).Normal_bb.height)
 
 let test_normal_bb_beats_bottom_left () =
@@ -304,6 +306,7 @@ let test_normal_bb_beats_bottom_left () =
   let inst =
     prec [ rect 0 1 2 1 1; rect 1 1 2 1 2; rect 2 1 4 3 2; rect 3 3 4 1 2 ] [ (0, 3) ]
   in
+  Alcotest.(check bool) "on the grid" true (Normal_bb.on_grid inst);
   let bb = Normal_bb.solve inst in
   let os = Order_search.best_prec inst in
   Alcotest.(check bool) "exact <= BL search" true
@@ -322,6 +325,7 @@ let dominance_inst () = prec [ rect 0 2 3 1 1; rect 1 2 3 1 1; rect 2 2 3 1 1 ] 
 
 let test_normal_bb_dominance_prunes () =
   let inst = dominance_inst () in
+  Alcotest.(check bool) "on the grid" true (Normal_bb.on_grid inst);
   Spp_obs.Profile.reset ();
   let on = Normal_bb.solve ~dominance:true inst in
   let p_on = Spp_obs.Profile.read () in
@@ -345,6 +349,7 @@ let test_normal_bb_profile_attribution () =
   (* The ambient profile must account for exactly the nodes the outcome
      reports (seed + search), on the calling domain, pruned included. *)
   let inst = dominance_inst () in
+  Alcotest.(check bool) "on the grid" true (Normal_bb.on_grid inst);
   Spp_obs.Profile.reset ();
   let out = Normal_bb.solve inst in
   let p = Spp_obs.Profile.read () in
@@ -356,6 +361,7 @@ let test_normal_bb_parallel_profile_attribution () =
   (* Worker domains must not leak counts into their own DLS cells: the
      caller aggregates, so the calling domain sees the whole search. *)
   let inst = dominance_inst () in
+  Alcotest.(check bool) "on the grid" true (Normal_bb.on_grid inst);
   Spp_obs.Profile.reset ();
   let out = Normal_bb.solve ~workers:4 inst in
   let p = Spp_obs.Profile.read () in
@@ -370,6 +376,7 @@ let test_normal_bb_cancel_mid_search () =
      expanded. *)
   let widths = [ 2; 9; 7; 6; 4; 3; 10 ] in
   let inst = prec (List.mapi (fun i wn -> rect i wn 17 ((i mod 4) + 1) 3) widths) [] in
+  Alcotest.(check bool) "on the grid" true (Normal_bb.on_grid inst);
   let seed_polls =
     let t = Spp_util.Cancel.create () in
     ignore (Order_search.best_prec ~cancel:t inst);
@@ -405,6 +412,68 @@ let test_normal_bb_cancel_mid_search () =
     (Printf.sprintf "profile holds the expanded nodes (%d nodes, %d polls)" nodes polls)
     true
     (nodes >= polls - 4 && nodes <= polls - 1)
+
+(* The kernel against the rational search on every view of a result:
+   height, placement text, item order (input order, or the seed's), nodes
+   expanded and the profile's node, pruned and dominated counts. *)
+let same_as_rational name ~dominance inst =
+  let run solve =
+    Spp_obs.Profile.reset ();
+    let o = solve ~dominance inst in
+    (o, Spp_obs.Profile.read ())
+  in
+  let o, p = run (fun ~dominance inst -> Normal_bb.solve ~dominance inst) in
+  let o', p' = run (fun ~dominance inst -> Normal_bb.Rational.solve ~dominance inst) in
+  let name = Printf.sprintf "%s, dominance %b" name dominance in
+  let ids (o : Normal_bb.outcome) =
+    List.map
+      (fun (it : Placement.item) -> it.Placement.rect.Rect.id)
+      (Placement.items o.Normal_bb.placement)
+  in
+  Alcotest.(check string) (name ^ ": height") (Q.to_string o'.Normal_bb.height)
+    (Q.to_string o.Normal_bb.height);
+  Alcotest.(check string) (name ^ ": placement")
+    (Spp_core.Io.placement_to_string o'.Normal_bb.placement)
+    (Spp_core.Io.placement_to_string o.Normal_bb.placement);
+  Alcotest.(check (list int)) (name ^ ": item order") (ids o') (ids o);
+  Alcotest.(check int) (name ^ ": nodes") o'.Normal_bb.nodes_expanded o.Normal_bb.nodes_expanded;
+  Alcotest.(check (triple int int int)) (name ^ ": profile nodes/pruned/dominated")
+    Spp_obs.Profile.(p'.bb_nodes, p'.bb_pruned, p'.bb_dominated)
+    Spp_obs.Profile.(p.bb_nodes, p.bb_pruned, p.bb_dominated);
+  o
+
+let test_normal_bb_kernel_same_tree () =
+  let corpus = if Sys.file_exists "../data/corpus" then "../data/corpus" else "data/corpus" in
+  let hard7 =
+    match Spp_core.Io.read_file (Filename.concat corpus "hard7_symmetric.spp") with
+    | Spp_core.Io.Prec inst -> inst
+    | Spp_core.Io.Release _ -> Alcotest.fail "hard7_symmetric is a precedence instance"
+  in
+  List.iter
+    (fun (name, inst) ->
+      Alcotest.(check bool) (name ^ ": on the grid") true (Normal_bb.on_grid inst);
+      List.iter (fun dominance -> ignore (same_as_rational name ~dominance inst)) [ true; false ])
+    [ ("dominance_inst", dominance_inst ()); ("hard7_symmetric", hard7) ]
+
+let test_normal_bb_kernel_guard () =
+  (* Every height times p/(p+1): for p = 2^20 - 3 the heights' sum on the
+     y grid is about 2^22, so the kernel runs on large values; for
+     p = 2^61 - 1 each height on the grid passes 2^60, so the search runs
+     on rationals. A common factor on y preserves every comparison, so
+     both expand the unscaled tree. *)
+  let base = dominance_inst () in
+  let unscaled = (Normal_bb.solve base).Normal_bb.nodes_expanded in
+  List.iter
+    (fun (name, p, on_grid) ->
+      let f = Q.of_ints p (p + 1) in
+      let scale (r : Rect.t) = Rect.make ~id:r.Rect.id ~w:r.Rect.w ~h:(Q.mul r.Rect.h f) in
+      let inst = I.Prec.make (List.map scale base.I.Prec.rects) base.I.Prec.dag in
+      Alcotest.(check bool) (name ^ ": on the grid") on_grid (Normal_bb.on_grid inst);
+      let o = same_as_rational name ~dominance:true inst in
+      Alcotest.(check int) (name ^ ": the unscaled tree") unscaled o.Normal_bb.nodes_expanded;
+      Alcotest.(check string) (name ^ ": height 3 times p/(p+1)") (Q.to_string (Q.mul_int f 3))
+        (Q.to_string o.Normal_bb.height))
+    [ ("p = 2^20 - 3", 1_048_573, true); ("p = 2^61 - 1", (1 lsl 61) - 1, false) ]
 
 let prop_normal_bb_dominance_never_cuts =
   (* Exhaustive cross-check on n <= 6: the dominance-pruned search and the
@@ -508,5 +577,9 @@ let () =
                prop_normal_bb_parallel_deterministic;
              ]
         @ [ Alcotest.test_case "cancelled mid-search, 4 workers" `Quick
-              test_normal_bb_cancel_mid_search ] );
+              test_normal_bb_cancel_mid_search;
+            Alcotest.test_case "kernel: the rational tree, node for node" `Quick
+              test_normal_bb_kernel_same_tree;
+            Alcotest.test_case "kernel: large values on the grid, rationals past it" `Quick
+              test_normal_bb_kernel_guard ] );
     ]
